@@ -46,10 +46,11 @@ serve
 
 Sweep-shaped commands (``figures``, ``compare``, ``tune``, ``faults``,
 ``bench``) accept ``--jobs N`` to fan independent simulations out over
-a process pool; output is byte-identical to ``--jobs 1`` because
-results always come back in submission order.  ``compare``/``tune``/
-``bench`` also accept ``--cache-dir``/``--no-cache`` to control the
-content-addressed run cache (see ``docs/INTERNALS.md``, Performance).
+the supervisor's worker pool; output is byte-identical to ``--jobs 1``
+because results always come back in submission order.
+``compare``/``tune``/``bench`` also accept ``--cache-dir``/``--no-cache``
+to control the content-addressed run cache (see ``docs/INTERNALS.md``,
+Performance).
 
 The same commands accept ``--steady-state {auto,off,force}``: ``auto``
 (the default) detects when an iteration replays its predecessor
@@ -75,7 +76,6 @@ import argparse
 import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from repro import BatchConfig, HarmonyConfig, HarmonySession, compare_runs
 from repro.core.report import audit_summary
@@ -88,8 +88,9 @@ from repro.errors import (
 )
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner
+from repro.perf import RunCache, RunSpec
 from repro.schedulers import scheme_names
+from repro.supervisor import RetryPolicy, Supervisor, Task, drain_on_signals
 from repro.tuner.search import tune
 from repro.units import GB
 from repro.validate import differential_check
@@ -120,46 +121,56 @@ def _make_cache(args: argparse.Namespace) -> RunCache | None:
     return RunCache(cache_dir=getattr(args, "cache_dir", None))
 
 
+def _durable(args: argparse.Namespace) -> bool:
+    """Whether ``--journal`` or ``--spec-timeout`` asked for the
+    durable supervisor (journal, watchdog, retries, drain, report)."""
+    return (
+        getattr(args, "journal", None) is not None
+        or getattr(args, "spec_timeout", None) is not None
+    )
+
+
 def _make_supervisor(
     args: argparse.Namespace,
     cache: RunCache | None = None,
     jobs: int | None = None,
-):
-    """The durable-execution layer behind ``--journal``/``--spec-timeout``;
-    ``None`` when neither was given (commands keep their plain pool
-    paths, whose behavior predates the supervisor)."""
-    journal = getattr(args, "journal", None)
-    timeout = getattr(args, "spec_timeout", None)
-    if journal is None and timeout is None:
-        return None
-    from repro.supervisor import RetryPolicy, Supervisor
-
+) -> Supervisor:
+    """The supervisor a sweep command runs on: durable when
+    :func:`_durable`, otherwise :meth:`Supervisor.plain`."""
+    jobs = jobs if jobs is not None else _jobs(args)
+    if not _durable(args):
+        return Supervisor.plain(jobs, cache=cache)
     return Supervisor(
-        jobs=jobs if jobs is not None else _jobs(args),
+        jobs=jobs,
         cache=cache,
         policy=RetryPolicy(
-            max_attempts=getattr(args, "max_attempts", 3), timeout=timeout
+            max_attempts=getattr(args, "max_attempts", 3),
+            timeout=getattr(args, "spec_timeout", None),
         ),
-        journal=journal,
+        journal=getattr(args, "journal", None),
         command=getattr(args, "_argv", None),
     )
 
 
-def _drain_scope(sup):
-    """Signal scope for supervised runs: the first SIGTERM/SIGINT
+def _drain_scope(args: argparse.Namespace, sup: Supervisor):
+    """Signal scope for durable runs: the first SIGTERM/SIGINT
     requests a graceful drain (in-flight specs settle and are
     journaled, unstarted ones are left for a resume) instead of
     killing the sweep mid-write.  A second signal interrupts as
-    usual.  No-op without a supervisor."""
-    if sup is None:
+    usual.  Plain runs keep the default signal behaviour."""
+    if not _durable(args):
         return contextlib.nullcontext()
-    from repro.supervisor import drain_on_signals
-
     return drain_on_signals(sup)
 
 
+def _print_report(args: argparse.Namespace, sup: Supervisor) -> None:
+    """The ``supervisor:`` report, printed by durable runs only."""
+    if _durable(args):
+        print(sup.report.render())
+
+
 # Figure sections as top-level functions so ``figures --jobs N`` can
-# ship them to pool workers (closures don't pickle).
+# ship them to worker processes (closures don't pickle).
 def _render_fig1() -> str:
     from repro.experiments import fig1_growth
     return fig1_growth.table().render()
@@ -207,54 +218,37 @@ _FIGURE_SECTIONS = [
 
 
 def _render_section(index: int) -> str:
-    """Pool worker: render one figure section to a string."""
+    """Worker: render one figure section to a string."""
     return _FIGURE_SECTIONS[index][1]()
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
-    indices = range(len(_FIGURE_SECTIONS))
     sup = _make_supervisor(args)
-    if sup is not None:
-        from repro.supervisor import Task
-
-        tasks = [
-            Task(
-                key=f"figure:{title}", fn=_render_section, payload=i,
-                label=title,
-            )
-            for i, (title, _) in enumerate(_FIGURE_SECTIONS)
-        ]
-        with _drain_scope(sup):
-            rendered = sup.run_tasks(tasks, return_exceptions=True)
-        drained = [
-            title
-            for (title, _), text in zip(_FIGURE_SECTIONS, rendered)
-            if isinstance(text, DrainedError)
-        ]
-        if drained:
-            print(
-                f"supervisor: drained before rendering {', '.join(drained)}; "
-                "resume with the same journal to finish"
-            )
-            print(sup.report.render())
-            return 1
-        for text in rendered:
-            if isinstance(text, ReproError):
-                raise text
-    elif jobs > 1:
-        workers = min(jobs, len(_FIGURE_SECTIONS))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map preserves section order: output is byte-identical
-            # to the serial run no matter which section finishes first.
-            rendered = list(pool.map(_render_section, indices))
-    else:
-        rendered = [_render_section(i) for i in indices]
+    tasks = [
+        Task(key=f"figure:{title}", fn=_render_section, payload=i, label=title)
+        for i, (title, _) in enumerate(_FIGURE_SECTIONS)
+    ]
+    with _drain_scope(args, sup):
+        rendered = sup.run_tasks(tasks, return_exceptions=True)
+    drained = [
+        title
+        for (title, _), text in zip(_FIGURE_SECTIONS, rendered)
+        if isinstance(text, DrainedError)
+    ]
+    if drained:
+        print(
+            f"supervisor: drained before rendering {', '.join(drained)}; "
+            "resume with the same journal to finish"
+        )
+        print(sup.report.render())
+        return 1
+    for text in rendered:
+        if isinstance(text, ReproError):
+            raise text
     for (title, _), text in zip(_FIGURE_SECTIONS, rendered):
         print(f"\n=== {title} " + "=" * max(0, 60 - len(title)))
         print(text)
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(args, sup)
     return 0
 
 
@@ -277,17 +271,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.schedule_zoo:
         from repro.experiments import schedule_zoo
 
-        cache = _make_cache(args)
-        sup = _make_supervisor(args, cache=cache)
-        rows = schedule_zoo.run(
-            model, server, batch, jobs=_jobs(args), cache=cache,
-            supervisor=sup,
-        )
+        sup = _make_supervisor(args, cache=_make_cache(args))
+        rows = schedule_zoo.run(model, server, batch, supervisor=sup)
         print(schedule_zoo.table(rows).render())
         print()
         print(schedule_zoo.stage_memory_figure(rows))
-        if sup is not None:
-            print(sup.report.render())
+        _print_report(args, sup)
         return 0
     print(model.describe())
     state = model.param_bytes + model.grad_bytes + model.optimizer_bytes
@@ -306,13 +295,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     cache = _make_cache(args)
     sup = _make_supervisor(args, cache=cache)
-    if sup is not None:
-        with _drain_scope(sup):
-            outcomes = sup.run_specs(specs, return_exceptions=True)
-    else:
-        outcomes = SweepRunner(jobs=_jobs(args), cache=cache).run_all(
-            specs, return_exceptions=True
-        )
+    with _drain_scope(args, sup):
+        outcomes = sup.run_specs(specs, return_exceptions=True)
     results = []
     for scheme, outcome in zip(SCHEMES, outcomes):
         if isinstance(outcome, AuditError):
@@ -332,8 +316,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(audit_summary([r.audit for r in results if r.audit]).render())
     if cache is not None and args.cache_dir:
         print(f"\n{cache.describe()}")
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(args, sup)
     return 0
 
 
@@ -342,13 +325,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     # The profiler does its own cache accounting, so the supervisor
     # runs cache-blind: a replay comes from the journal, not the cache.
-    sup = _make_supervisor(args, cache=None)
+    # Without one, the tuner probes in this process (or on a plain pool
+    # of --jobs workers), handing each probe the live checkpoint store.
+    sup = _make_supervisor(args) if _durable(args) else None
     checkpoints = None
     if args.profile_iterations > 1 or args.checkpoint_dir:
         from repro.perf.incremental import CheckpointStore
 
         checkpoints = CheckpointStore(args.checkpoint_dir)
-    with _drain_scope(sup):
+    with _drain_scope(args, sup):
         outcome = tune(
             model, server, batch.per_replica_batch, cache=cache,
             jobs=_jobs(args), supervisor=sup,
@@ -373,8 +358,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 f"({100 * outcome.prefix_hit_rate:.0f}% hit rate), "
                 f"{outcome.saved_iterations} iteration(s) skipped"
             )
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(args, sup)
     return 0
 
 
@@ -535,7 +519,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"RECOVERY FAILED: {row.scheme} under {row.policy}")
     else:
         sup = _make_supervisor(args)
-        with _drain_scope(sup):
+        with _drain_scope(args, sup):
             rows = faults_degradation.run(
                 model=model,
                 num_gpus=args.gpus,
@@ -543,12 +527,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 mttf_iters=mttfs,
                 transient_probability=args.transient_probability,
                 seed=args.seed,
-                jobs=_jobs(args),
                 supervisor=sup,
             )
         print(faults_degradation.table(rows).render())
-        if sup is not None:
-            print(sup.report.render())
+        _print_report(args, sup)
 
         comparisons = faults_degradation.gracefulness(rows)
         if comparisons:
@@ -630,8 +612,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile=args.profile,
     )
     print(bench.render(report))
-    if sup is not None:
-        print(sup.report.render())
+    _print_report(args, sup)
     if args.out:
         bench.write_json(report, args.out)
         print(f"\nwrote {args.out}")

@@ -173,7 +173,8 @@ class DrainedError(ReproError):
 
 
 class JournalError(ReproError):
-    """A sweep journal is unusable (missing header, unreadable file)."""
+    """An append-only log — a sweep journal or the server's jobs ledger
+    — is unusable (unreadable or unopenable path, missing header)."""
 
 
 class ServeError(ReproError):

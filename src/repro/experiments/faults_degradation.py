@@ -13,13 +13,11 @@ gracefully than their corresponding baseline under the same fault plan.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.faults.report import FaultReport
-    from repro.supervisor import Supervisor
 
 from repro.core.config import HarmonyConfig
 from repro.faults.detection import DetectorConfig
@@ -38,9 +36,11 @@ from repro.hardware import presets
 from repro.hardware.topology import Topology
 from repro.models import zoo
 from repro.models.graph import ModelGraph
+from repro.perf.fingerprint import FingerprintError, fingerprint
 from repro.schedulers.base import BatchConfig
 from repro.sim.executor import ExecOptions, Executor
 from repro.schedulers import build_scheduler
+from repro.supervisor import Supervisor, Task
 from repro.units import GB
 from repro.util.tables import Table
 
@@ -74,8 +74,8 @@ def _iteration_time(
 
 
 def _run_cell(payload) -> "FaultReport":
-    """Process-pool worker for one (MTTF, scheme) cell (top-level for
-    pickling); only the fault report travels back to the parent."""
+    """Worker for one (MTTF, scheme) cell (top-level for pickling);
+    only the fault report travels back to the parent."""
     model, topology, config, plan, iterations = payload
     result = run_resilient(model, topology, config, plan, iterations=iterations)
     return result.faults
@@ -96,12 +96,12 @@ def run(
     MTTF so the table reads as Fig.-style columns per scheme.
 
     Every (MTTF, scheme) cell is an independent resilient run whose
-    fault plan is fully determined by ``seed``, so with ``jobs > 1``
-    the cells fan out over a process pool; results come back in cell
-    order, keeping the table byte-identical to a serial sweep.  With a
-    ``supervisor`` the cells run as journaled, watchdogged tasks
-    instead — an interrupted MTTF sweep resumes from its last
-    completed cell (the CLI's ``--journal``)."""
+    fault plan is fully determined by ``seed``, so the cells run as
+    tasks on ``supervisor`` (default: a plain one over ``jobs``
+    workers); results come back in cell order, keeping the table
+    byte-identical to a serial sweep.  A durable supervisor journals
+    and watchdogs the cells, so an interrupted MTTF sweep resumes from
+    its last completed cell (the CLI's ``--journal``)."""
     model = model if model is not None else zoo.synthetic_uniform(num_layers=8)
     topology = presets.gtx1080ti_server(num_gpus=num_gpus)
     batch = batch if batch is not None else BatchConfig()
@@ -114,7 +114,7 @@ def run(
     cells: list[tuple[float, str]] = [
         (mttf, scheme) for mttf in mttf_iters for scheme in schemes
     ]
-    payloads = []
+    tasks = []
     for mttf, scheme in cells:
         faults: tuple = ()
         if transient_probability > 0:
@@ -135,39 +135,25 @@ def run(
         else:
             plan = FaultPlan(seed=seed, faults=faults)
         config = HarmonyConfig(scheme, batch=batch)
-        payloads.append((model, topology, config, plan, iterations))
-
-    if supervisor is not None:
-        from repro.perf.fingerprint import FingerprintError, fingerprint
-        from repro.supervisor import Task
-
-        tasks = []
-        for (mttf, scheme), payload in zip(cells, payloads):
-            model_, topology_, config, _, _ = payload
-            try:
-                content = fingerprint(model_, topology_, config)
-            except FingerprintError:
-                content = "nokey"
-            tasks.append(
-                Task(
-                    key=(
-                        f"faults:{content}:mttf={mttf:g}:iters={iterations}"
-                        f":seed={seed}:tp={transient_probability:g}"
-                    ),
-                    fn=_run_cell,
-                    payload=payload,
-                    label=f"{scheme}@mttf={mttf:g}",
-                    cacheable=True,
-                )
+        try:
+            content = fingerprint(model, topology, config)
+        except FingerprintError:
+            content = "nokey"
+        tasks.append(
+            Task(
+                key=(
+                    f"faults:{content}:mttf={mttf:g}:iters={iterations}"
+                    f":seed={seed}:tp={transient_probability:g}"
+                ),
+                fn=_run_cell,
+                payload=(model, topology, config, plan, iterations),
+                label=f"{scheme}@mttf={mttf:g}",
+                cacheable=True,
             )
-        reports = supervisor.run_tasks(tasks)
-    elif jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            # pool.map preserves input order: parallel rows land in the
-            # same (mttf, scheme) order the serial loop produces.
-            reports = list(pool.map(_run_cell, payloads))
-    else:
-        reports = [_run_cell(p) for p in payloads]
+        )
+    if supervisor is None:
+        supervisor = Supervisor.plain(jobs)
+    reports = supervisor.run_tasks(tasks)
 
     rows: list[DegradationRow] = []
     for (mttf, scheme), report in zip(cells, reports):
@@ -243,7 +229,7 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def _run_recovery_cell(payload) -> "FaultReport":
-    """Process-pool worker for one (scheme, policy) cell."""
+    """Worker for one (scheme, policy) cell."""
     model, topology, config, plan, policy, iterations = payload
     result = run_resilient(
         model, topology, config, plan, policy=policy, iterations=iterations
@@ -266,7 +252,8 @@ def run_recovery(
     and one cold spare — so the policies differ only in what they do
     about it.  Detection runs the adaptive phi-accrual detector; the
     loss is timed per scheme in its own iteration times so every scheme
-    faces the same relative disruption.  Deterministic in ``seed``."""
+    faces the same relative disruption.  Deterministic in ``seed``; the
+    cells run on a plain supervisor over ``jobs`` workers."""
     model = model if model is not None else zoo.synthetic_uniform(num_layers=8)
     topology = presets.gtx1080ti_server(num_gpus=num_gpus)
     batch = batch if batch is not None else BatchConfig()
@@ -280,7 +267,7 @@ def run_recovery(
     cells: list[tuple[str, str]] = [
         (scheme, policy) for scheme in schemes for policy in policies
     ]
-    payloads = []
+    tasks = []
     for scheme, policy_name in cells:
         t_iter = iter_time[scheme]
         plan = FaultPlan(seed=seed, faults=(
@@ -298,13 +285,15 @@ def run_recovery(
             detection=DetectorConfig(kind="phi-accrual"),
         )
         config = HarmonyConfig(scheme, batch=batch)
-        payloads.append((model, topology, config, plan, policy, iterations))
-
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            reports = list(pool.map(_run_recovery_cell, payloads))
-    else:
-        reports = [_run_recovery_cell(p) for p in payloads]
+        tasks.append(
+            Task(
+                key=f"recovery:{scheme}:{policy_name}",
+                fn=_run_recovery_cell,
+                payload=(model, topology, config, plan, policy, iterations),
+                label=f"{scheme}@{policy_name}",
+            )
+        )
+    reports = Supervisor.plain(jobs).run_tasks(tasks)
 
     rows: list[RecoveryRow] = []
     for (scheme, policy_name), report in zip(cells, reports):

@@ -21,9 +21,10 @@ from repro.hardware.device import DeviceKind, DeviceSpec
 from repro.hardware.topology import Topology
 from repro.models import zoo
 from repro.models.graph import ModelGraph
-from repro.perf import RunSpec, SweepRunner
+from repro.perf import RunSpec
 from repro.schedulers import scheme_names
 from repro.schedulers.base import BatchConfig
+from repro.supervisor import Supervisor
 from repro.units import MB, TFLOP, fmt_bytes
 from repro.util.tables import Table
 
@@ -72,7 +73,9 @@ def run(
     cache=None,
     supervisor=None,
 ) -> list[ZooRow]:
-    """Run every scheme (default: the full registry) on one workload.
+    """Run every scheme (default: the full registry) on one workload,
+    on ``supervisor`` (default: a plain one over ``jobs`` workers and
+    ``cache``).
 
     Infeasible scheme/workload combinations become rows with
     ``feasible=False`` rather than aborting the sweep — the zoo figure
@@ -88,12 +91,9 @@ def run(
         RunSpec(model, topology, HarmonyConfig(s, batch=batch), label=s)
         for s in schemes
     ]
-    if supervisor is not None:
-        outcomes = supervisor.run_specs(specs, return_exceptions=True)
-    else:
-        outcomes = SweepRunner(jobs=jobs, cache=cache).run_all(
-            specs, return_exceptions=True
-        )
+    if supervisor is None:
+        supervisor = Supervisor.plain(jobs, cache=cache)
+    outcomes = supervisor.run_specs(specs, return_exceptions=True)
     rows: list[ZooRow] = []
     for scheme, outcome in zip(schemes, outcomes):
         if isinstance(outcome, (ReproError, PoisonedSpecError)):

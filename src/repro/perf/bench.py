@@ -20,8 +20,8 @@ on two 550 MB GPUs, harmony-pp, 2 microbatches) and a scaled variant
   (harmony-dp, small fixed per-replica workload), the scaling figure
   behind the live loop's targeted wake-up;
 * **parallel-sweep scaling** — a small scheme x microbatch grid run
-  serially and through :class:`~repro.perf.runner.SweepRunner` with
-  ``--jobs N``;
+  through :meth:`repro.supervisor.Supervisor.run_specs` inline and
+  with ``--jobs N`` workers;
 * **steady-state fast-forward** — the Fig. 4 workload at many
   iterations, ``--steady-state off`` vs ``auto`` (see
   :mod:`repro.steady`).  The section *asserts* the two runs produce
@@ -58,8 +58,9 @@ from repro.hardware.device import DeviceKind, DeviceSpec
 from repro.models import zoo
 from repro.perf.cache import RunCache
 from repro.perf.fingerprint import SCHEDULER_VERSION, fingerprint
-from repro.perf.runner import RunSpec, SweepRunner
+from repro.perf.runner import RunSpec
 from repro.schedulers.base import BatchConfig
+from repro.supervisor import Supervisor, Task
 from repro.units import MB, TFLOP
 
 SCHEMA = 1
@@ -168,11 +169,11 @@ def _time_sweep(jobs: int, quick: bool) -> dict:
     specs = _sweep_grid(quick)
 
     t0 = time.perf_counter()
-    serial = SweepRunner(jobs=1).run_all(specs)
+    serial = Supervisor.plain(1).run_specs(specs)
     serial_sec = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = SweepRunner(jobs=jobs).run_all(specs)
+    parallel = Supervisor.plain(jobs).run_specs(specs)
     parallel_sec = time.perf_counter() - t0
 
     if [r.makespan for r in serial] != [r.makespan for r in parallel]:
@@ -567,29 +568,26 @@ def run_bench(
 ) -> dict:
     """The full harness; returns the ``BENCH_sim.json`` payload.
 
-    With a ``supervisor`` (the CLI's ``--journal``) each section runs
-    as a journaled task, so a crashed benchmark resumes at section
-    granularity.  Replayed sections report the wall times recorded
-    before the interruption — a resumed benchmark is a completion of
-    the original measurement, not a fresh one.
+    The sections run one at a time as tasks on ``supervisor`` (default:
+    a plain inline one).  Under a durable supervisor (the CLI's
+    ``--journal``) a crashed benchmark resumes at section granularity;
+    replayed sections report the wall times recorded before the
+    interruption — a resumed benchmark is a completion of the original
+    measurement, not a fresh one.
     """
-    payloads = [(name, quick, jobs) for name in _SECTIONS]
-    if supervisor is not None:
-        from repro.supervisor import Task
-
-        tasks = [
+    if supervisor is None:
+        supervisor = Supervisor.plain(1)
+    sections = supervisor.run_tasks(
+        [
             Task(
                 key=f"bench:{name}:quick={quick}:jobs={jobs}",
                 fn=_bench_section,
-                payload=payload,
+                payload=(name, quick, jobs),
                 label=f"bench:{name}",
             )
-            for payload in payloads
-            for name in (payload[0],)
+            for name in _SECTIONS
         ]
-        sections = supervisor.run_tasks(tasks)
-    else:
-        sections = [_bench_section(payload) for payload in payloads]
+    )
     current = dict(zip(_SECTIONS, sections))
     baseline = json.loads(json.dumps(PRE_PR_BASELINE))  # deep copy
     # Golden traces are unchanged, so pre/post execute the same events:

@@ -5,23 +5,23 @@
 :class:`~repro.sim.result.RunResult`, but any picklable value (the
 tuner caches :class:`~repro.tuner.profiler.ProfilePoint`).
 
-Two tiers:
+Two tiers, both :class:`~repro.util.blobstore.BlobStore`'s:
 
 * **memory** — always on; entries live for the process.
 * **disk** — optional, rooted at ``cache_dir`` (the CLI's
-  ``--cache-dir``, conventionally ``~/.cache/repro``); entries survive
-  across processes and are written atomically (temp file + rename) so
-  concurrent sweep workers never observe torn blobs.
+  ``--cache-dir``, conventionally ``~/.cache/repro``) and laid out as
+  ``<cache_dir>/<key[:2]>/<key>.pkl``; entries survive across processes
+  and are written atomically, so concurrent sweep workers never
+  observe torn blobs.
 
-Every lookup stores and returns payloads through the *same* serialized
-form (``pickle.dumps`` at store, ``pickle.loads`` at hit), which is
-what makes the byte-identical guarantee testable: a hit is a fresh
-deserialization, never a shared mutable object that an earlier caller
-may have decorated (e.g. attached an audit report to).
+Every hit is a fresh deserialization of the stored pickle, which is
+what makes the byte-identical guarantee testable: a hit is never a
+shared mutable object that an earlier caller may have decorated (e.g.
+attached an audit report to).
 
 One cache instance may be shared by concurrent callers (the job
-server hands a single instance to every tenant's supervisor): the
-memory tier and the hit/miss/store counters are guarded by a lock, and
+server hands a single instance to every tenant's supervisor); the
+blob store guards its tiers and counters with a lock, and
 ``get_or_run`` holds no lock around ``compute`` — two racing misses on
 the same key both compute, and the byte-identical guarantee makes the
 double store harmless (last write wins with an equal value).
@@ -29,100 +29,40 @@ double store harmless (last write wins with an equal value).
 Invalidation is by construction: the fingerprint already contains the
 scheduler version salt, so semantics changes miss instead of serving
 stale entries.  The ``invalidations`` counter ledgers the one remaining
-case — a disk entry that exists but fails to load (corrupt, truncated,
-or written by an incompatible Python) is deleted and treated as a miss.
-Symmetrically, ``write_errors`` counts disk-tier stores that failed
-(cache dir deleted, disk full, permissions): the cache keeps serving
-from memory, but the first failure warns once so a dead cache dir is
-not silently absorbed as a 0% hit rate across processes.
+case — a disk entry that exists but fails to load is deleted and
+treated as a miss — and ``write_errors`` counts disk stores that
+failed (the first one warns).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-import threading
-import warnings
 from typing import Any, Callable
 
-#: Distinguished miss marker.  ``get(key, RunCache.MISS)`` is the
-#: ambiguity-free lookup: a legitimately cached falsy payload (``None``,
-#: ``0``, ``[]``) comes back as itself, never conflated with a miss.
-_MISS = object()
+from repro.util.blobstore import MISS as _MISS
+from repro.util.blobstore import BlobStore
 
 
-class RunCache:
+class RunCache(BlobStore):
     """In-memory (+ optional on-disk) fingerprint -> payload cache."""
 
     #: Sentinel returned by ``get(key, default=RunCache.MISS)`` so
     #: callers can cache falsy payloads without re-computing them.
     MISS = _MISS
+    label = "run cache"
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
-        self._lock = threading.RLock()
-        self._memory: dict[str, bytes] = {}
-        self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.write_errors = 0
-        self._warned_write_error = False
+        super().__init__(cache_dir)
 
-    # -- tiers -----------------------------------------------------------
+    @property
+    def cache_dir(self) -> str | None:
+        """The disk tier's directory (``None``: memory only)."""
+        return self.root
 
-    def _path(self, key: str) -> str:
+    @staticmethod
+    def _where(key: str) -> tuple[str, str]:
         # Two-level fan-out keeps directories small on big sweeps.
-        return os.path.join(self.cache_dir, key[:2], f"{key}.pkl")
-
-    def _disk_read(self, key: str) -> bytes | None:
-        if self.cache_dir is None:
-            return None
-        try:
-            with open(self._path(key), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def _disk_write(self, key: str, blob: bytes) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._path(key)
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError as exc:
-            # The memory tier still holds the entry; count the failure
-            # and warn once so a dead cache dir surfaces instead of
-            # silently degrading every future process to cold misses.
-            with self._lock:
-                self.write_errors += 1
-                warn_now = not self._warned_write_error
-                self._warned_write_error = True
-            if warn_now:
-                warnings.warn(
-                    f"run cache: disk write to {self.cache_dir} failed "
-                    f"({exc}); caching continues in memory only, further "
-                    f"failures are counted in counters()['write_errors']",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-
-    # -- public ----------------------------------------------------------
+        return key[:2], f"{key}.pkl"
 
     def get(self, key: str, default: Any = None) -> Any:
         """The cached payload for ``key``, freshly deserialized, or
@@ -133,42 +73,13 @@ class RunCache:
         for a hit, so ``result is RunCache.MISS`` is an unambiguous
         miss test.
         """
-        with self._lock:
-            blob = self._memory.get(key)
-        if blob is None:
-            blob = self._disk_read(key)
-            if blob is not None:
-                try:
-                    payload = pickle.loads(blob)
-                except Exception:
-                    # Torn/incompatible disk entry: drop it.
-                    try:
-                        os.unlink(self._path(key))
-                    except OSError:
-                        pass
-                    with self._lock:
-                        self.invalidations += 1
-                        self.misses += 1
-                    return default
-                with self._lock:
-                    self._memory[key] = blob  # promote to the memory tier
-                    self.hits += 1
-                return payload
-        if blob is None:
-            with self._lock:
-                self.misses += 1
-            return default
-        with self._lock:
-            self.hits += 1
-        return pickle.loads(blob)
+        payload = self._load(*self._where(key))
+        self._tally(payload is not _MISS)
+        return default if payload is _MISS else payload
 
     def put(self, key: str, payload: Any) -> None:
         """Serialize and store ``payload`` in every enabled tier."""
-        blob = pickle.dumps(payload)
-        with self._lock:
-            self._memory[key] = blob
-            self.stores += 1
-        self._disk_write(key, blob)
+        self._save(*self._where(key), payload)
 
     def get_or_run(self, key: str, compute: Callable[[], Any]) -> Any:
         """``get(key)``, falling back to ``compute()`` + ``put``.
@@ -182,57 +93,5 @@ class RunCache:
         cached = self.get(key, _MISS)
         if cached is not _MISS:
             return cached
-        payload = compute()
-        self.put(key, payload)
-        with self._lock:
-            blob = self._memory[key]
-        return pickle.loads(blob)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._memory:
-                return True
-        return self._disk_read(key) is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries are left in place)."""
-        with self._lock:
-            self._memory.clear()
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors,
-            }
-
-    def describe(self) -> str:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            entries = len(self._memory)
-            write_errors = self.write_errors
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        tier = f", disk={self.cache_dir}" if self.cache_dir else ""
-        errors = (
-            f", {write_errors} disk write error(s)" if write_errors else ""
-        )
-        return (
-            f"run cache: {hits} hits / {misses} misses "
-            f"({100 * rate:.0f}%), {entries} entries"
-            f"{tier}{errors}"
-        )
+        self.put(key, compute())
+        return self._load(*self._where(key))

@@ -11,19 +11,20 @@ hierarchical prefix key (:func:`repro.perf.fingerprint.base_fingerprint`
 run that shares the key restores the deepest boundary ``<= n - 1`` and
 simulates only the divergent suffix.
 
-The tuner's hill-climb revisits and the sweep runner's neighboring
-cells are exactly this shape: same model/topology/config probed
-repeatedly (or at growing iteration depths), each probe previously
-cold-starting iteration 1.  With a warm store, a probe at ``n``
+The tuner's hill-climb revisits and a sweep's neighboring cells are
+exactly this shape: same model/topology/config probed repeatedly (or
+at growing iteration depths), each probe previously cold-starting
+iteration 1.  With a warm store, a probe at ``n``
 iterations restores boundary ``n - 1`` and simulates one iteration plus
 the flush — the bench's ``incremental`` section measures the per-probe
 speedup and asserts byte-identity against a cold run, the same
 guarantee the run cache makes.
 
-Snapshots round-trip through ``pickle`` in every tier (memory included),
-so a restored executor never shares mutable state with its donor — the
-byte-identical guarantee is a property of the serialized form, exactly
-as for :class:`~repro.perf.cache.RunCache` hits.
+Snapshots live in a :class:`~repro.util.blobstore.BlobStore`, the run
+cache's tiers: they round-trip through ``pickle`` in every tier (memory
+included), so a restored executor never shares mutable state with its
+donor — the byte-identical guarantee is a property of the serialized
+form, exactly as for :class:`~repro.perf.cache.RunCache` hits.
 
 Steady-state interplay: snapshots are captured *mid-boundary*, after
 the entry fingerprint is computed but before the cycle-detection branch
@@ -40,12 +41,10 @@ and the prefix key separates resolved steady modes, so ``off`` and
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.util.blobstore import MISS, BlobStore
 
 if TYPE_CHECKING:
     from repro.sim.executor import Executor
@@ -223,197 +222,76 @@ def install_snapshot(ex: "Executor", snap: Snapshot) -> None:
     ex._samples = snap.samples
 
 
-class CheckpointStore:
+class CheckpointStore(BlobStore):
     """Prefix-checkpoint tiers: ``base key -> {boundary: snapshot}``.
 
-    Mirrors :class:`~repro.perf.cache.RunCache`: an always-on memory
-    tier plus an optional on-disk tier (``checkpoint_dir``), atomic
-    writes, lock-guarded counters, and pickle round-trips on every hit
-    so restored state never aliases the donor's.
-
-    Disk layout: ``<dir>/<key[:2]>/<key>/<iteration>.pkl`` — one
-    directory per base key so :meth:`best` can enumerate available
-    boundaries with a single ``listdir``.
+    A key layout over :class:`~repro.util.blobstore.BlobStore` (memory
+    tier, optional atomic disk tier under ``checkpoint_dir``, torn-entry
+    invalidation, counters).  Disk layout:
+    ``<dir>/<key[:2]>/<key>/<iteration>.pkl`` — one directory per base
+    key, so :meth:`best` enumerates the stored boundaries with a single
+    ``listdir``.
     """
 
+    label = "checkpoints"
+    unit = "snapshot(s)"
+
     def __init__(self, checkpoint_dir: str | os.PathLike | None = None):
-        self._lock = threading.RLock()
-        self._memory: dict[str, dict[int, bytes]] = {}
-        self.checkpoint_dir = (
-            os.fspath(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.invalidations = 0
-        self.write_errors = 0
+        super().__init__(checkpoint_dir)
         #: Total simulated iterations short-circuited by restores — the
         #: work the prefix reuse saved, in iteration units.
         self.saved_iterations = 0
-        self._warned_write_error = False
 
-    # -- tiers -----------------------------------------------------------
+    @property
+    def checkpoint_dir(self) -> str | None:
+        """The disk tier's directory (``None``: memory only)."""
+        return self.root
 
-    def _key_dir(self, base_key: str) -> str:
-        return os.path.join(self.checkpoint_dir, base_key[:2], base_key)
-
-    def _path(self, base_key: str, iteration: int) -> str:
-        return os.path.join(self._key_dir(base_key), f"{iteration}.pkl")
-
-    def _disk_iterations(self, base_key: str) -> list[int]:
-        if self.checkpoint_dir is None:
-            return []
-        try:
-            names = os.listdir(self._key_dir(base_key))
-        except OSError:
-            return []
-        out = []
-        for name in names:
-            stem, ext = os.path.splitext(name)
-            if ext == ".pkl" and stem.isdigit():
-                out.append(int(stem))
-        return out
-
-    def _disk_read(self, base_key: str, iteration: int) -> bytes | None:
-        if self.checkpoint_dir is None:
-            return None
-        try:
-            with open(self._path(base_key, iteration), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def _disk_write(self, base_key: str, iteration: int, blob: bytes) -> None:
-        if self.checkpoint_dir is None:
-            return
-        path = self._path(base_key, iteration)
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError as exc:
-            with self._lock:
-                self.write_errors += 1
-                warn_now = not self._warned_write_error
-                self._warned_write_error = True
-            if warn_now:
-                warnings.warn(
-                    f"checkpoint store: disk write to {self.checkpoint_dir} "
-                    f"failed ({exc}); checkpointing continues in memory "
-                    "only, further failures are counted in "
-                    "counters()['write_errors']",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-
-    # -- public ----------------------------------------------------------
+    @staticmethod
+    def _folder(base_key: str) -> str:
+        return os.path.join(base_key[:2], base_key)
 
     def put(self, base_key: str, snapshot: Snapshot) -> None:
         """Store one boundary snapshot under its prefix key."""
-        blob = pickle.dumps(snapshot)
-        with self._lock:
-            self._memory.setdefault(base_key, {})[snapshot.iteration] = blob
-            self.stores += 1
-        self._disk_write(base_key, snapshot.iteration, blob)
+        self._save(
+            self._folder(base_key), f"{snapshot.iteration}.pkl", snapshot
+        )
 
     def has(self, base_key: str, iteration: int) -> bool:
         """Cheap existence probe (no counters) — lets donors skip
         re-pickling a boundary an earlier identical run already saved."""
-        with self._lock:
-            if iteration in self._memory.get(base_key, ()):
-                return True
-        if self.checkpoint_dir is None:
-            return False
-        return os.path.exists(self._path(base_key, iteration))
+        return self._contains(self._folder(base_key), f"{iteration}.pkl")
 
     def best(self, base_key: str, max_iteration: int) -> Snapshot | None:
         """The deepest stored boundary ``<= max_iteration``, freshly
         deserialized, or ``None``.  Counts one hit or one miss; a hit
-        credits its depth to ``saved_iterations``."""
-        with self._lock:
-            candidates = set(self._memory.get(base_key, ()))
-        candidates.update(self._disk_iterations(base_key))
-        for iteration in sorted(
-            (i for i in candidates if i <= max_iteration), reverse=True
-        ):
-            with self._lock:
-                blob = self._memory.get(base_key, {}).get(iteration)
-            if blob is None:
-                blob = self._disk_read(base_key, iteration)
-            if blob is None:
-                continue
-            try:
-                snap = pickle.loads(blob)
-            except Exception:
-                # Torn/incompatible disk entry: drop it, try shallower.
-                try:
-                    os.unlink(self._path(base_key, iteration))
-                except OSError:
-                    pass
+        credits its depth to ``saved_iterations``.  A torn boundary is
+        invalidated and the next shallower one tried."""
+        folder = self._folder(base_key)
+        stored = []
+        for name in self._names(folder):
+            stem, ext = os.path.splitext(name)
+            if ext == ".pkl" and stem.isdigit() and int(stem) <= max_iteration:
+                stored.append(int(stem))
+        for iteration in sorted(stored, reverse=True):
+            snap = self._load(folder, f"{iteration}.pkl")
+            if snap is not MISS:
                 with self._lock:
-                    self.invalidations += 1
-                continue
-            with self._lock:
-                self._memory.setdefault(base_key, {})[iteration] = blob
-                self.hits += 1
-                self.saved_iterations += iteration
-            return snap
-        with self._lock:
-            self.misses += 1
+                    self._tally(True)
+                    self.saved_iterations += iteration
+                return snap
+        self._tally(False)
         return None
-
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries are left in place)."""
-        with self._lock:
-            self._memory.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._memory.values())
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
 
     def counters(self) -> dict[str, int]:
         with self._lock:
             return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "invalidations": self.invalidations,
-                "write_errors": self.write_errors,
+                **super().counters(),
                 "saved_iterations": self.saved_iterations,
             }
 
-    def describe(self) -> str:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            saved = self.saved_iterations
-            entries = sum(len(v) for v in self._memory.values())
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        tier = f", disk={self.checkpoint_dir}" if self.checkpoint_dir else ""
-        return (
-            f"checkpoints: {hits} hits / {misses} misses "
-            f"({100 * rate:.0f}%), {saved} iteration(s) saved, "
-            f"{entries} snapshot(s){tier}"
-        )
+    def _detail(self) -> str:
+        return f"{self.saved_iterations} iteration(s) saved, "
 
 
 def snapshot_boundary(iteration: int, total: int) -> bool:

@@ -1,51 +1,31 @@
-"""Parallel sweep execution with deterministic ordering.
+"""Run specs: the work items of a simulation sweep.
 
 A sweep is a list of :class:`RunSpec` — independent ``(model,
-topology, config)`` points.  :class:`SweepRunner` evaluates them:
+topology, config)`` points — run by
+:meth:`repro.supervisor.Supervisor.run_specs`, which consults the run
+cache first, fans the misses out over its workers (or runs them inline
+at one job) and returns results **in spec order** regardless of
+completion order.
 
-* cache first — specs whose fingerprint is already in the
-  :class:`~repro.perf.cache.RunCache` never reach a worker;
-* misses fan out across a ``ProcessPoolExecutor`` (``jobs > 1``) or
-  run inline (``jobs = 1``, also the fallback when the platform cannot
-  fork/spawn workers);
-* results come back **in submission order** regardless of completion
-  order — the determinism rule that makes ``--jobs 4`` output
-  byte-identical to ``--jobs 1``.
-
-Workers re-raise nothing: each returns either the result, the
-:class:`~repro.errors.ReproError` the simulation raised, or — for an
-unexpected non-domain exception — a picklable
-:class:`~repro.errors.WorkerError` wrapping it, and the parent
-re-raises (default) or hands exceptions back in-slot
-(``return_exceptions=True`` — how ``compare`` reports infeasible
-schemes without abandoning the sweep).  One buggy spec therefore can
-never tear down the pool or lose the rest of the sweep.
-
-For crash/hang tolerance on top of this (worker watchdogs, retries,
-pool respawn, resumable journals) wrap the sweep in
-:class:`repro.supervisor.Supervisor` instead of calling
-:class:`SweepRunner` directly.
+:func:`_execute_spec` is the worker entry point.  It re-raises
+nothing: it returns the result, the :class:`~repro.errors.ReproError`
+the simulation raised (a deterministic outcome, never retried), or —
+for an unexpected non-domain exception — a picklable
+:class:`~repro.errors.WorkerError` wrapping it, which the supervisor
+treats as a retryable failure.  One buggy spec can therefore never
+tear down the pool or lose the rest of the sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING
 
 from repro.core.config import HarmonyConfig
 from repro.errors import ReproError, WorkerError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
-from repro.perf.cache import RunCache
 from repro.perf.fingerprint import FingerprintError, fingerprint
 from repro.sim.result import RunResult
-
-if TYPE_CHECKING:
-    from repro.perf.incremental import CheckpointStore
-
-_MISS = RunCache.MISS
 
 
 @dataclass
@@ -71,18 +51,9 @@ def spec_key(spec: RunSpec) -> str | None:
         return None
 
 
-def _execute_spec(
-    spec: RunSpec,
-    checkpoints: "CheckpointStore | None" = None,
-    checkpoint_dir: str | None = None,
-) -> RunResult | ReproError:
+def _execute_spec(spec: RunSpec) -> RunResult | ReproError:
     """Worker entry point: simulate one spec, returning (never raising)
     domain errors so one infeasible point cannot poison the pool.
-
-    ``checkpoints`` carries a live prefix-checkpoint store on the inline
-    path; pool workers instead receive ``checkpoint_dir`` (the store
-    holds a lock and cannot cross the pickle boundary) and reopen a
-    store over the shared directory.
 
     Unexpected non-domain exceptions are wrapped in a picklable
     :class:`~repro.errors.WorkerError` rather than re-raised: a raw
@@ -93,102 +64,9 @@ def _execute_spec(
     # name, and the session layer pulls in the full scheduler stack.
     from repro.core.session import HarmonySession
 
-    if checkpoints is None and checkpoint_dir is not None:
-        from repro.perf.incremental import CheckpointStore
-
-        checkpoints = CheckpointStore(checkpoint_dir)
     try:
-        return HarmonySession(
-            spec.model, spec.topology, spec.config, checkpoints=checkpoints
-        ).run()
+        return HarmonySession(spec.model, spec.topology, spec.config).run()
     except ReproError as exc:
         return exc
     except Exception as exc:  # noqa: BLE001 — the wrap is the point
         return WorkerError.from_exception(spec.label, exc)
-
-
-class SweepRunner:
-    """Evaluate run specs across processes, results in spec order."""
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: RunCache | None = None,
-        checkpoints: "CheckpointStore | None" = None,
-    ):
-        if jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.cache = cache
-        #: Prefix-checkpoint store shared across the sweep's specs —
-        #: multi-iteration specs that share a per-iteration prefix
-        #: (same point at different depths, or steady-off re-probes)
-        #: restore instead of cold-starting.  Pool workers need the
-        #: store to be disk-backed (``checkpoint_dir`` set); a memory-
-        #: only store still accelerates the inline path.
-        self.checkpoints = checkpoints
-
-    def _key(self, spec: RunSpec) -> str | None:
-        if self.cache is None:
-            return None
-        return spec_key(spec)  # None = uncacheable; simulate every time
-
-    def run_all(
-        self, specs: list[RunSpec], return_exceptions: bool = False
-    ) -> list[RunResult | ReproError]:
-        """All specs' results, index-aligned with ``specs``.
-
-        With ``return_exceptions`` the slot of a failed spec holds the
-        :class:`ReproError` instead; otherwise the first failure (in
-        spec order) is raised after the sweep drains.
-        """
-        results: list[RunResult | ReproError | None] = [None] * len(specs)
-        pending: list[int] = []
-        for i, spec in enumerate(specs):
-            key = self._key(spec)
-            cached = self.cache.get(key, _MISS) if key is not None else _MISS
-            if cached is not _MISS:
-                results[i] = cached
-            else:
-                pending.append(i)
-
-        if pending:
-            store = self.checkpoints
-            if self.jobs == 1 or len(pending) == 1:
-                computed = [
-                    _execute_spec(specs[i], checkpoints=store) for i in pending
-                ]
-            else:
-                ckpt_dir = store.checkpoint_dir if store is not None else None
-                fn = (
-                    partial(_execute_spec, checkpoint_dir=ckpt_dir)
-                    if ckpt_dir is not None
-                    else _execute_spec
-                )
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    # pool.map preserves input order — completion order
-                    # never leaks into the result list.
-                    computed = list(
-                        pool.map(fn, [specs[i] for i in pending])
-                    )
-            for i, outcome in zip(pending, computed):
-                results[i] = outcome
-                key = self._key(specs[i])
-                if key is not None and isinstance(outcome, RunResult):
-                    self.cache.put(key, outcome)
-
-        if not return_exceptions:
-            for outcome in results:
-                if isinstance(outcome, ReproError):
-                    raise outcome
-        return results  # type: ignore[return-value]
-
-    def describe(self) -> str:
-        cache = f"; {self.cache.describe()}" if self.cache is not None else ""
-        ckpt = (
-            f"; {self.checkpoints.describe()}"
-            if self.checkpoints is not None
-            else ""
-        )
-        return f"sweep runner: jobs={self.jobs}{cache}{ckpt}"

@@ -196,8 +196,8 @@ class JobServer:
         )
 
         if config.state_dir is not None:
-            os.makedirs(config.state_dir, exist_ok=True)
-            os.makedirs(self._journal_dir(), exist_ok=True)
+            # The ledger creates the state dir (and each job's journal
+            # its journals dir); an unusable path is a JournalError.
             ledger_path = os.path.join(config.state_dir, "jobs.jsonl")
             recovered = load_ledger(ledger_path)
             self.ledger: JobLedger | None = JobLedger(ledger_path)

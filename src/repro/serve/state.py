@@ -18,20 +18,19 @@ their journals already settled byte-identically, executing only the
 remainder.  A ``kill -9`` therefore loses at most the attempts that
 were in flight at the instant of death.
 
-The ledger borrows the sweep journal's durability discipline: append
-one line, flush, ``fsync``; a crash can tear at most the final line,
-and :func:`load_ledger` skips (and counts) unparseable lines instead
-of failing.
+The ledger is an :class:`~repro.util.appendlog.AppendLog`, the same
+file discipline as the sweep journal: one fsync'd line per record, so
+a crash can tear at most the final line, and :func:`load_ledger` skips
+(and counts) unparseable lines instead of failing.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Any
 
 from repro.serve.jobs import CANCELLED, DONE, FAILED, TERMINAL_STATES
+from repro.util.appendlog import AppendLog, read_records, torn_note
 
 #: Ledger schema version; bump on incompatible record changes.
 LEDGER_SCHEMA = 1
@@ -73,43 +72,26 @@ class LedgerState:
         )
 
     def describe(self) -> str:
-        torn = (
-            f", {self.torn_records} torn record(s) skipped"
-            if self.torn_records
-            else ""
-        )
         return (
             f"ledger {self.path}: {len(self.jobs)} job(s), "
             f"{len(self.pending())} pending over {self.records} "
-            f"record(s){torn}"
+            f"record(s){torn_note(self.torn_records)}"
         )
 
 
 def load_ledger(path: str | os.PathLike) -> LedgerState:
-    """Parse a jobs ledger, tolerating a torn tail.
+    """Parse a jobs ledger, tolerating torn lines (see
+    :func:`~repro.util.appendlog.read_records`).
 
     Duplicate outcome records for one job keep the *first* (the record
     earlier readers already served); outcome records for unknown job
     ids are skipped (their admission line was the torn one).
     """
     path = os.fspath(path)
-    state = LedgerState(path=path)
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return state
-
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            kind = record["type"]
-        except (ValueError, KeyError, TypeError):
-            state.torn_records += 1
-            continue
-        state.records += 1
+    records, torn = read_records(path)
+    state = LedgerState(path=path, records=len(records), torn_records=torn)
+    for record in records:
+        kind = record["type"]
         if kind == "job":
             job_id, tenant = record.get("id"), record.get("tenant")
             seq, spec = record.get("seq"), record.get("spec")
@@ -137,33 +119,13 @@ def load_ledger(path: str | os.PathLike) -> LedgerState:
     return state
 
 
-class JobLedger:
-    """Appends fsync'd job/outcome records to the ledger file."""
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existed = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        self._fh: IO[bytes] = open(self.path, "ab")
-        if existed:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    self._append(b"\n")
-
-    def _append(self, data: bytes) -> None:
-        self._fh.write(data)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _record(self, record: dict) -> None:
-        self._append(json.dumps(record, sort_keys=True).encode() + b"\n")
+class JobLedger(AppendLog):
+    """Appends job/outcome records (an :class:`AppendLog` over the
+    ledger file)."""
 
     def job(self, job_id: str, tenant: str, seq: int, spec: dict) -> None:
         """Record an admission; the 202 response waits on this fsync."""
-        self._record(
+        self.append(
             {
                 "type": "job",
                 "schema": LEDGER_SCHEMA,
@@ -183,7 +145,7 @@ class JobLedger:
     ) -> None:
         if status not in (DONE, FAILED, CANCELLED):
             raise ValueError(f"not a terminal job status: {status!r}")
-        self._record(
+        self.append(
             {
                 "type": "outcome",
                 "id": job_id,
@@ -192,13 +154,3 @@ class JobLedger:
                 "error": error,
             }
         )
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "JobLedger":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

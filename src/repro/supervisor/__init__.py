@@ -1,19 +1,22 @@
-"""Crash-safe sweep supervision (``repro.supervisor``).
+"""Sweep execution and crash-safe supervision (``repro.supervisor``).
 
-The reproduction's host-side hot path — ``SweepRunner`` fanning
-hundreds of simulations over a process pool — assumed a well-behaved
-world: one segfaulted worker aborted the whole sweep with
-``BrokenProcessPool``, one hung spec stalled it forever, and a Ctrl-C
-threw away every uncached result.  This package is the durable
-execution layer that removes those assumptions, the same
-checkpoint/restart discipline the simulated cluster already practices
-(``repro.faults``) applied to the harness itself:
+:class:`Supervisor` is the only code in the package that starts worker
+processes: every sweep — the CLI's ``--jobs N`` commands, the tuner's
+grid, the fault sweeps, the job server — hands it independent work
+items and gets results back in submission order.  A plain sweep runs
+on :meth:`Supervisor.plain` (one attempt, no watchdog, no journal,
+inline at one job).  With ``--journal``/``--spec-timeout`` the same
+class becomes the durable execution layer — the checkpoint/restart
+discipline the simulated cluster already practices (``repro.faults``)
+applied to the harness itself:
 
 * :class:`Supervisor` — watchdog timeouts, retry with exponential
   backoff + deterministic jitter, pool respawn on worker death, and
   poison-spec quarantine (:class:`~repro.errors.PoisonedSpecError`);
-* :mod:`~repro.supervisor.journal` — the append-only, fsync'd JSONL
-  write-ahead ledger behind ``--journal``, torn-tail tolerant;
+* :mod:`~repro.supervisor.journal` — the write-ahead journal behind
+  ``--journal``: journal records on an
+  :class:`~repro.util.appendlog.AppendLog` (fsync'd JSONL, torn-tail
+  tolerant);
 * :class:`~repro.supervisor.policy.RetryPolicy` — the knobs;
 * :class:`~repro.supervisor.report.SupervisorReport` — what happened,
   attached to every supervised sweep and printed by the CLI.

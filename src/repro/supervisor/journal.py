@@ -14,12 +14,12 @@ supervisor appends one record per event:
   :class:`~repro.errors.ReproError`), or ``poisoned`` (payload is the
   :class:`~repro.errors.PoisonedSpecError`).
 
-Durability contract: each record is one JSON line, flushed and
-``fsync``'d before the write returns.  A crash can therefore tear at
-most the final line; :func:`load_journal` skips any unparseable line
-(counting it in ``torn_records``) instead of failing, and
-:class:`JournalWriter` newline-terminates a torn tail before appending,
-so a journal survives any interleaving of crashes and resumes.
+Durability is :class:`~repro.util.appendlog.AppendLog`'s: each record
+is one fsync'd JSON line, so a crash tears at most the final line;
+:func:`load_journal` skips and counts torn lines (``torn_records``),
+and a reopening :class:`JournalWriter` newline-terminates a torn tail
+before appending, so a journal survives any interleaving of crashes
+and resumes.
 
 A journal is a *resume artifact for one interrupted invocation*, not a
 cache: replayed payloads are served exactly as recorded, with no
@@ -30,13 +30,13 @@ scheduler-version salt, is the staleness-aware tier.)
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, IO
+from typing import Any
 
 from repro.errors import JournalError
+from repro.util.appendlog import AppendLog, read_records, torn_note
 
 #: Journal schema version; bump on incompatible record changes.
 JOURNAL_SCHEMA = 1
@@ -92,47 +92,25 @@ class JournalState:
     torn_records: int = 0
 
     def describe(self) -> str:
-        torn = (
-            f", {self.torn_records} torn record(s) skipped"
-            if self.torn_records
-            else ""
-        )
         return (
             f"journal {self.path}: {len(self.outcomes)} outcome(s) over "
-            f"{self.records} record(s){torn}"
+            f"{self.records} record(s){torn_note(self.torn_records)}"
         )
 
 
 def load_journal(path: str | os.PathLike) -> JournalState:
-    """Parse a journal, tolerating a torn tail.
+    """Parse a journal, tolerating torn lines (see
+    :func:`~repro.util.appendlog.read_records`).
 
-    Unparseable lines are skipped and counted — a crash mid-``write``
-    tears exactly one line, and a resume after that tear appends a
-    newline first, so a torn fragment can sit mid-file after several
-    crash/resume cycles.  For duplicate outcome records (a replayed key
-    journaled again) the *first* wins: it is the record whose payload
-    every earlier reader already served.
+    For duplicate outcome records (a replayed key journaled again) the
+    *first* wins: it is the record whose payload every earlier reader
+    already served.
     """
     path = os.fspath(path)
-    state = JournalState(path=path)
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return state
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
-
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            kind = record["type"]
-        except (ValueError, KeyError, TypeError):
-            state.torn_records += 1
-            continue
-        state.records += 1
+    records, torn = read_records(path)
+    state = JournalState(path=path, records=len(records), torn_records=torn)
+    for record in records:
+        kind = record["type"]
         if kind == "header":
             command = record.get("command")
             if isinstance(command, list) and all(
@@ -160,56 +138,24 @@ def load_journal(path: str | os.PathLike) -> JournalState:
     return state
 
 
-class JournalWriter:
-    """Appends fsync'd records to a journal file.
-
-    Opening an existing journal never rewrites history: if the file
-    ends in a torn fragment the writer first terminates it with a
-    newline, then appends.  The header is written only when the file is
-    empty (a resumed sweep keeps the original header and argv).
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existed = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        self._fh: IO[bytes] = open(self.path, "ab")
-        if existed:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    self._append(b"\n")
-        self._fresh = not existed
-
-    # -- plumbing --------------------------------------------------------
-
-    def _append(self, data: bytes) -> None:
-        self._fh.write(data)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _record(self, record: dict) -> None:
-        self._append(json.dumps(record, sort_keys=True).encode() + b"\n")
-
-    # -- records ---------------------------------------------------------
+class JournalWriter(AppendLog):
+    """Appends journal records (an :class:`AppendLog` over the journal
+    file).  The header is written only at the head of an empty file: a
+    resumed sweep keeps the original header and argv."""
 
     def header(self, command: list[str] | None) -> None:
-        """Write the header iff this writer created the journal."""
-        if not self._fresh:
-            return
-        self._fresh = False
-        self._record(
-            {
-                "type": "header",
-                "schema": JOURNAL_SCHEMA,
-                "command": list(command) if command is not None else None,
-            }
-        )
+        """Write the header iff the journal holds no record yet."""
+        if self.empty:
+            self.append(
+                {
+                    "type": "header",
+                    "schema": JOURNAL_SCHEMA,
+                    "command": list(command) if command is not None else None,
+                }
+            )
 
     def attempt(self, key: str, attempt: int) -> None:
-        self._record({"type": "attempt", "key": key, "attempt": attempt})
+        self.append({"type": "attempt", "key": key, "attempt": attempt})
 
     def outcome(
         self, key: str, status: str, attempts: int, payload: Any
@@ -218,7 +164,7 @@ class JournalWriter:
         if status not in _TERMINAL:
             raise JournalError(f"not a terminal status: {status!r}")
         encoded = _encode_payload(payload)
-        self._record(
+        self.append(
             {
                 "type": "outcome",
                 "key": key,
@@ -230,13 +176,3 @@ class JournalWriter:
         return Outcome(
             key=key, status=status, attempts=attempts, payload_b64=encoded
         )
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "JournalWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,6 +1,11 @@
-"""Crash-safe sweep supervision: the durable execution layer.
+"""Crash-safe sweep supervision: the one owner of worker processes.
 
-:class:`Supervisor` runs a list of :class:`Task` (or
+Every sweep in the package — the CLI's ``--jobs N`` commands, the
+tuner's grid, the fault sweeps, the job server — runs its independent
+work items through :class:`Supervisor`; no other module starts a
+process pool.  A sweep nobody asked to make durable runs on
+:meth:`Supervisor.plain` (one attempt, no watchdog, no journal, inline
+at one job).  The durable form runs a list of :class:`Task` (or
 :class:`~repro.perf.runner.RunSpec`) to completion *no matter what the
 workers do*:
 
@@ -17,11 +22,11 @@ workers do*:
 * a task that keeps failing is **quarantined** after
   ``max_attempts`` — its result slot carries a structured
   :class:`~repro.errors.PoisonedSpecError` and the rest of the sweep
-  completes normally;
+  completes normally, with the last attempt's exception as its
+  ``__cause__``;
 * deterministic domain failures (a returned or raised
   :class:`~repro.errors.ReproError` that is not a
-  :class:`~repro.errors.WorkerError`) are *results*, never retried —
-  exactly the contract of :class:`~repro.perf.runner.SweepRunner`.
+  :class:`~repro.errors.WorkerError`) are *results*, never retried.
 
 With a journal (see :mod:`repro.supervisor.journal`) every terminal
 outcome is fsync'd as it lands, so a crash or Ctrl-C loses at most the
@@ -31,8 +36,8 @@ remainder, byte-identical to an uninterrupted run (payloads round-trip
 through pickle exactly like run-cache hits).
 
 Results always come back in submission order, regardless of
-completion, retry, or replay order — the same determinism rule the
-rest of :mod:`repro.perf` lives by.
+completion, retry, or replay order — which is what makes ``--jobs 4``
+output byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class Supervisor:
     ----------
     jobs:
         Worker processes (>= 1).  Even ``jobs=1`` runs tasks in a
-        child process — crash isolation is the point; inline execution
-        is only a fallback for platforms without multiprocessing.
+        child process — crash isolation is the point — unless
+        ``inline`` is set; inline execution is also the fallback for
+        platforms without multiprocessing.
     cache:
         Optional :class:`~repro.perf.cache.RunCache` consulted before
         execution and updated after, for tasks with ``cacheable=True``.
@@ -130,8 +136,9 @@ class Supervisor:
     inline:
         Execute tasks in this process instead of a worker pool.  No
         crash isolation and no watchdog, but no pool-spawn cost either
-        — the job server's light-isolation mode.  Retry, backoff,
-        quarantine, journaling, and drain all still apply.
+        — the job server's light-isolation mode and
+        :meth:`plain`'s one-job form.  Retry, backoff, quarantine,
+        journaling, and drain all still apply.
     """
 
     def __init__(
@@ -181,6 +188,21 @@ class Supervisor:
         self._quarantined: list[str] = []
         self._history: dict[str, tuple[str, ...]] = {}
         self._recovery_wall = 0.0
+
+    @classmethod
+    def plain(
+        cls, jobs: int = 1, cache: RunCache | None = None
+    ) -> "Supervisor":
+        """A sweep without ``--journal``/``--spec-timeout``: one
+        attempt, no watchdog, no journal, and inline at ``jobs=1`` — a
+        plain process pool (or loop) that still returns results in
+        submission order and settles a failing task as a
+        :class:`~repro.errors.PoisonedSpecError` caused by its
+        exception."""
+        return cls(
+            jobs=jobs, cache=cache, policy=RetryPolicy(max_attempts=1),
+            inline=jobs == 1,
+        )
 
     # -- reporting -------------------------------------------------------
 
@@ -235,9 +257,9 @@ class Supervisor:
     # -- entry points ----------------------------------------------------
 
     def run_specs(self, specs, return_exceptions: bool = False) -> list:
-        """Supervised analogue of
-        :meth:`repro.perf.runner.SweepRunner.run_all`: cache-first,
-        results in spec order, domain errors in-slot or re-raised."""
+        """Simulate run specs (:class:`~repro.perf.runner.RunSpec`):
+        cache-first, results in spec order, domain errors in-slot or
+        re-raised (see :meth:`run_tasks`)."""
         from repro.perf.runner import _execute_spec, spec_key
 
         tasks = []
@@ -384,6 +406,11 @@ class Supervisor:
         started: dict[Any, float] = {}
         watchdog = self.policy.timeout
         pool: ProcessPoolExecutor | None = None
+        # Tasks in flight when a worker crashed: any of them may be the
+        # killer, so until they settle they go first and run one at a
+        # time — the next crash then has a single suspect, and an
+        # innocent task loses at most one attempt to a neighbour.
+        suspects: set[int] = set()
 
         def settle(i: int, value: Any, t0: float | None) -> None:
             task = tasks[i]
@@ -392,6 +419,7 @@ class Supervisor:
                     i,
                     f"worker error: {value.exc_type}: {value.exc_message}",
                     t0,
+                    value,
                 )
                 return
             results[i] = value
@@ -405,7 +433,12 @@ class Supervisor:
             if self.on_outcome is not None:
                 self.on_outcome(i, value)
 
-        def retryable(i: int, reason: str, t0: float | None) -> None:
+        def retryable(
+            i: int,
+            reason: str,
+            t0: float | None,
+            cause: BaseException | None = None,
+        ) -> None:
             now = self._clock()
             if t0 is not None:
                 self._recovery_wall += max(0.0, now - t0)
@@ -415,6 +448,9 @@ class Supervisor:
                 error = PoisonedSpecError(
                     task.display, attempts[i], histories[i]
                 )
+                # The evidence: the last attempt's exception (from a
+                # pool, a WorkerError carrying the worker's traceback).
+                error.__cause__ = cause
                 results[i] = error
                 self._quarantined.append(task.display)
                 self._history[task.display] = tuple(histories[i])
@@ -501,11 +537,15 @@ class Supervisor:
                 if self._drain.is_set() and not inflight:
                     break  # unstarted tasks become DrainedError slots
                 now = self._clock()
-                if queue and len(inflight) < workers and not self._drain.is_set():
+                suspects = {i for i in suspects if results[i] is _UNSET}
+                limit = 1 if suspects else workers
+                if queue and len(inflight) < limit and not self._drain.is_set():
                     ready = [
                         i for i in queue if ready_at.get(i, 0.0) <= now
                     ]
-                    for i in ready[: workers - len(inflight)]:
+                    if suspects:
+                        ready.sort(key=lambda i: i not in suspects)
+                    for i in ready[: limit - len(inflight)]:
                         queue.remove(i)
                         submit(i)
                 if not inflight:
@@ -518,7 +558,7 @@ class Supervisor:
                 wait_candidates = [
                     d - now for d in deadlines.values() if d is not None
                 ]
-                if queue and len(inflight) < workers and not self._drain.is_set():
+                if queue and len(inflight) < limit and not self._drain.is_set():
                     wait_candidates += [
                         ready_at.get(i, 0.0) - now for i in queue
                     ]
@@ -541,6 +581,7 @@ class Supervisor:
                             i: "worker crashed (process pool broken)"
                             for i in inflight.values()
                         }
+                        suspects.update(reasons)
                         recycle(reasons, refund_victims=False)
                         break
                     i = inflight.pop(fut)
@@ -565,6 +606,7 @@ class Supervisor:
                             i,
                             f"worker raised {type(exc).__name__}: {exc}",
                             t0,
+                            exc,
                         )
 
                 if watchdog and inflight:
@@ -604,7 +646,8 @@ class Supervisor:
         self, tasks, queue, ready_at, attempts, histories, results,
         settle_retry,
     ) -> None:
-        """Sequential fallback when worker processes are unavailable.
+        """Sequential execution in this process (``inline``, or the
+        fallback when worker processes are unavailable).
 
         Retries and backoff still apply; the watchdog cannot (there is
         no process to kill), and a crash takes the whole run with it —
@@ -633,7 +676,7 @@ class Supervisor:
                 if self.on_outcome is not None:
                     self.on_outcome(i, exc)
             except Exception as exc:  # noqa: BLE001 — retry boundary
-                retryable(i, f"raised {type(exc).__name__}: {exc}", t0)
+                retryable(i, f"raised {type(exc).__name__}: {exc}", t0, exc)
             else:
                 settle(i, value, t0)
 

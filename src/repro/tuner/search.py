@@ -8,10 +8,11 @@ hill-climb pack size around the best grid point (including a distinct
 backward pack size, motivated by backward's 2-3x footprint).
 
 The search is embarrassingly parallel and highly redundant — the grid
-fans out over a process pool (``jobs``), and every profiled point is
-content-addressed in a :class:`~repro.perf.cache.RunCache` so the
-hill-climb's revisits (and any later search over the same workload)
-are cache hits instead of fresh simulations.
+fans out over a plain :class:`~repro.supervisor.Supervisor` pool
+(``jobs``), and every profiled point is content-addressed in a
+:class:`~repro.perf.cache.RunCache` so the hill-climb's revisits (and
+any later search over the same workload) are cache hits instead of
+fresh simulations.
 
 A search can also run under a :class:`~repro.supervisor.Supervisor`
 (the CLI's ``--journal``): every profiled point becomes a journaled,
@@ -23,12 +24,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 if TYPE_CHECKING:
     from repro.perf.incremental import CheckpointStore
-    from repro.supervisor import Supervisor
 
 from repro.core.config import Parallelism
 from repro.errors import ConfigError
@@ -36,6 +35,7 @@ from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
 from repro.perf.cache import RunCache
 from repro.perf.fingerprint import FingerprintError, fingerprint
+from repro.supervisor import Supervisor, Task
 from repro.tuner.profiler import (
     ProfilePoint,
     profile_config,
@@ -95,7 +95,7 @@ def _profile_combo(
         "str | None", "str | None",
     ],
 ) -> ProfilePoint:
-    """Process-pool worker: profile one combo (top-level for pickling).
+    """Worker: profile one combo (top-level for pickling).
 
     The checkpoint store crosses the process boundary as its *directory*
     (the store object holds a lock): workers reopen the disk tier and
@@ -120,9 +120,8 @@ class _Profiler:
     """Cache-aware, optionally parallel evaluator of profile points.
 
     Every evaluation goes through here so the search phases share one
-    pair of hit/miss counters; batches fan out over a process pool and
-    come back in submission order (the determinism rule shared with
-    :class:`~repro.perf.runner.SweepRunner`).
+    pair of hit/miss counters; batches fan out over the supervisor's
+    workers and come back in submission order.
     """
 
     def __init__(
@@ -191,19 +190,22 @@ class _Profiler:
                 self.misses += 1
                 pending.append(i)
         if pending:
-            ckpt_dir = (
-                self.checkpoints.checkpoint_dir
-                if self.checkpoints is not None
-                else None
-            )
-            payloads = [
-                (self.model, self.topology, self.parallelism, combos[i],
-                 self.iterations, self.steady_state, ckpt_dir)
-                for i in pending
-            ]
-            if self.supervisor is not None:
-                from repro.supervisor import Task
-
+            if self.supervisor is None and (
+                self.jobs == 1 or len(pending) == 1
+            ):
+                # In this process: hand the store object straight
+                # through, so a memory-only store works (and counters
+                # accrue in-process).
+                computed = [self._profile_inline(combos[i]) for i in pending]
+            else:
+                supervisor = self.supervisor
+                if supervisor is None:
+                    supervisor = Supervisor.plain(self.jobs)
+                ckpt_dir = (
+                    self.checkpoints.checkpoint_dir
+                    if self.checkpoints is not None
+                    else None
+                )
                 # The profiler owns cache accounting, so tasks are not
                 # supervisor-cacheable; the journal still records every
                 # point, making an interrupted search resumable.
@@ -211,20 +213,16 @@ class _Profiler:
                     Task(
                         key=keys[i] or f"profile:nokey:{combos[i]!r}",
                         fn=_profile_combo,
-                        payload=payload,
+                        payload=(
+                            self.model, self.topology, self.parallelism,
+                            combos[i], self.iterations, self.steady_state,
+                            ckpt_dir,
+                        ),
                         label=_combo_label(combos[i]),
                     )
-                    for i, payload in zip(pending, payloads)
+                    for i in pending
                 ]
-                computed = self.supervisor.run_tasks(tasks)
-            elif self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    computed = list(pool.map(_profile_combo, payloads))
-            else:
-                # Inline: hand the store object straight through, so a
-                # memory-only store works (and counters accrue in-process).
-                computed = [self._profile_inline(combos[i]) for i in pending]
+                computed = supervisor.run_tasks(tasks)
             for i, point in zip(pending, computed):
                 points[i] = point
                 if keys[i] is not None:
@@ -326,11 +324,12 @@ def tune(
     footprint in the backward pass, "motivating the need for different
     pack and microbatch sizes across these passes".
 
-    ``jobs`` fans the grid out over a process pool; ``cache`` makes
-    repeated probes (hill-climb revisits, re-runs of the same search)
-    cache hits.  ``supervisor`` routes every probe through a
-    :class:`~repro.supervisor.Supervisor` instead of a bare pool —
-    crash recovery, watchdog, and ``--journal`` resumability.
+    ``jobs`` fans the grid out over a plain
+    :class:`~repro.supervisor.Supervisor` pool (single probes stay in
+    this process); ``cache`` makes repeated probes (hill-climb
+    revisits, re-runs of the same search) cache hits.  ``supervisor``
+    routes every probe through that supervisor instead — crash
+    recovery, watchdog, and ``--journal`` resumability.
 
     ``profile_iterations`` makes each probe simulate that many
     iterations (settled steady-state throughput rather than a first

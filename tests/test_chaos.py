@@ -1,6 +1,6 @@
 """Chaos tests: the supervisor under violent failure.
 
-Each test inflicts a failure the plain ``SweepRunner`` cannot survive —
+Each test inflicts a failure a bare process pool cannot survive —
 a worker SIGKILLed mid-sweep (``BrokenProcessPool``), a worker that
 hangs forever, a journal torn mid-record by a crash — and asserts the
 supervised sweep still completes with correct, submission-ordered
@@ -15,11 +15,11 @@ import multiprocessing
 import pytest
 
 from repro.errors import PoisonedSpecError
-from repro.perf.runner import SweepRunner, _execute_spec, spec_key
+from repro.perf.runner import _execute_spec, spec_key
 from repro.sim.trace import to_chrome_trace
 from repro.supervisor import RetryPolicy, Supervisor, Task, load_journal
 from tests import chaos_helpers as ch
-from tests.test_supervisor import small_sweep
+from tests.test_supervisor import direct_runs, small_sweep
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -66,7 +66,7 @@ class TestWorkerCrash:
         """A worker crash must not corrupt or reorder the surrounding
         *real* simulation results."""
         specs = small_sweep()
-        baseline = SweepRunner(jobs=1).run_all(specs)
+        baseline = direct_runs(specs)
         marker = str(tmp_path / "died")
         tasks = [
             Task(key=spec_key(s), fn=_execute_spec, payload=s, label=s.label)

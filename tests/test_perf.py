@@ -1,5 +1,5 @@
 """Performance layer (``repro.perf``): content-addressed fingerprints,
-the two-tier run cache, parallel sweeps, and the cached tuner search.
+the two-tier stores, parallel sweeps, and the cached tuner search.
 
 The load-bearing guarantees under test:
 
@@ -26,11 +26,13 @@ from repro import BatchConfig, HarmonyConfig, HarmonySession, compare_runs
 from repro.errors import ReproError
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner, fingerprint
+from repro.perf import CheckpointStore, RunCache, RunSpec, fingerprint
 from repro.perf.fingerprint import SCHEDULER_VERSION, FingerprintError
 from repro.sim.trace import to_chrome_trace
+from repro.supervisor import Supervisor
 from repro.tuner.search import tune
 from repro.units import MB
+from tests.test_incremental import _snap
 
 
 def small_workload(scheme: str = "harmony-pp", microbatches: int = 2):
@@ -172,26 +174,47 @@ class TestRunCache:
         assert calls == [1]
         assert cache.counters()["stores"] == 1
 
-    def test_disk_write_failure_is_counted_and_warned_once(self, tmp_path):
+
+#: (store class, store entry ``i``, entry ``i`` is served) for both
+#: key layouts over the blob store.
+STORES = {
+    "RunCache": (
+        RunCache,
+        lambda store, i: store.put(f"result:{i}", {"v": i}),
+        lambda store, i: store.get(f"result:{i}") == {"v": i},
+    ),
+    "CheckpointStore": (
+        CheckpointStore,
+        lambda store, i: store.put("ab12", _snap(i)),
+        lambda store, i: store.best("ab12", i).iteration == i,
+    ),
+}
+
+
+class TestBlobStores:
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_disk_write_failure_is_counted_and_warned_once(
+        self, kind, tmp_path
+    ):
         # Point the disk tier under a regular file after construction —
         # the disk "going bad" mid-run.  NotADirectoryError is the one
         # OSError that still fires when the suite runs as root (chmod
         # tricks don't).
-        cache = RunCache(cache_dir=str(tmp_path / "cache"))
+        store_cls, put, served = STORES[kind]
+        store = store_cls(tmp_path / "store")
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
-        cache.cache_dir = str(blocker / "cache")
+        store.root = str(blocker / "store")
         with pytest.warns(RuntimeWarning, match="disk write"):
-            cache.put("result:a", {"v": 1})
+            put(store, 1)
         # Later failures count silently — the warning fires exactly once.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache.put("result:b", {"v": 2})
-        assert cache.counters()["write_errors"] == 2
-        assert "2 disk write error(s)" in cache.describe()
+            put(store, 2)
+        assert store.counters()["write_errors"] == 2
+        assert "2 disk write error(s)" in store.describe()
         # The memory tier kept both entries despite the dead disk tier.
-        assert cache.get("result:a") == {"v": 1}
-        assert cache.get("result:b") == {"v": 2}
+        assert served(store, 1) and served(store, 2)
 
 
 class TestFreshVsCachedEquality:
@@ -199,9 +222,9 @@ class TestFreshVsCachedEquality:
         model, topo, config = small_workload()
         cache = RunCache()
         spec = RunSpec(model, topo, config)
-        runner = SweepRunner(jobs=1, cache=cache)
-        (fresh,) = runner.run_all([spec])
-        (cached,) = runner.run_all([spec])
+        sup = Supervisor.plain(1, cache=cache)
+        (fresh,) = sup.run_specs([spec])
+        (cached,) = sup.run_specs([spec])
         assert cache.hits == 1
         assert cached.label == fresh.label
         assert cached.makespan == fresh.makespan
@@ -227,9 +250,9 @@ class TestFreshVsCachedEquality:
         model, topo, config = small_workload(scheme=scheme)
         cache = RunCache()
         spec = RunSpec(model, topo, config)
-        runner = SweepRunner(jobs=1, cache=cache)
-        (fresh,) = runner.run_all([spec])
-        (cached,) = runner.run_all([spec])
+        sup = Supervisor.plain(1, cache=cache)
+        (fresh,) = sup.run_specs([spec])
+        (cached,) = sup.run_specs([spec])
         assert cache.hits == 1
         assert cached.makespan == fresh.makespan
         assert cached.devices == fresh.devices
@@ -237,6 +260,10 @@ class TestFreshVsCachedEquality:
 
 
 class TestSweepRunner:
+    """Plain sweeps on ``Supervisor.run_specs``: ``--jobs N`` output
+    equals one job's, errors stay in their slots, the cache comes
+    first."""
+
     def grid(self) -> list[RunSpec]:
         model = zoo.synthetic_uniform(num_layers=4)
         topo = presets.gtx1080ti_server(num_gpus=2)
@@ -252,8 +279,8 @@ class TestSweepRunner:
 
     def test_jobs4_matches_jobs1_tables_and_traces(self):
         specs = self.grid()
-        serial = SweepRunner(jobs=1).run_all(specs)
-        parallel = SweepRunner(jobs=4).run_all(specs)
+        serial = Supervisor.plain(1).run_specs(specs)
+        parallel = Supervisor.plain(4).run_specs(specs)
         assert [r.makespan for r in serial] == [r.makespan for r in parallel]
         assert (
             compare_runs(serial).render() == compare_runs(parallel).render()
@@ -269,28 +296,28 @@ class TestSweepRunner:
         tiny = tight_server(1, capacity=60 * MB)
         specs = self.grid()
         specs.insert(1, RunSpec(model, tiny, specs[0].config, label="doomed"))
-        outcomes = SweepRunner(jobs=2).run_all(specs, return_exceptions=True)
+        outcomes = Supervisor.plain(2).run_specs(specs, return_exceptions=True)
         assert isinstance(outcomes[1], ReproError)
         assert all(
             not isinstance(o, ReproError)
             for i, o in enumerate(outcomes) if i != 1
         )
         with pytest.raises(ReproError):
-            SweepRunner(jobs=2).run_all(specs)
+            Supervisor.plain(2).run_specs(specs)
 
     def test_warm_cache_serves_the_whole_sweep(self):
         specs = self.grid()
         cache = RunCache()
-        first = SweepRunner(jobs=1, cache=cache).run_all(specs)
+        first = Supervisor.plain(1, cache=cache).run_specs(specs)
         stores = cache.stores
-        again = SweepRunner(jobs=4, cache=cache).run_all(specs)
+        again = Supervisor.plain(4, cache=cache).run_specs(specs)
         assert cache.hits == len(specs)
         assert cache.stores == stores  # nothing re-simulated
         assert [r.makespan for r in again] == [r.makespan for r in first]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ReproError, match="jobs"):
-            SweepRunner(jobs=0)
+            Supervisor.plain(0)
 
     def test_unexpected_worker_exception_comes_back_structured(
         self, monkeypatch

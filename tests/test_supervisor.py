@@ -24,11 +24,17 @@ import multiprocessing
 
 import pytest
 
-from repro import BatchConfig, HarmonyConfig
-from repro.errors import ConfigError, JournalError, PoisonedSpecError, ReproError
+from repro import BatchConfig, HarmonyConfig, HarmonySession
+from repro.errors import (
+    ConfigError,
+    JournalError,
+    PoisonedSpecError,
+    ReproError,
+    WorkerError,
+)
 from repro.hardware import presets
 from repro.models import zoo
-from repro.perf import RunCache, RunSpec, SweepRunner
+from repro.perf import RunCache, RunSpec
 from repro.sim.trace import to_chrome_trace
 from repro.supervisor import (
     DONE,
@@ -74,6 +80,13 @@ def small_sweep() -> list[RunSpec]:
 
 def chrome_json(result) -> str:
     return json.dumps(to_chrome_trace(result.trace), sort_keys=True)
+
+
+def direct_runs(specs: list[RunSpec]) -> list:
+    """The reference results, computed without the supervisor."""
+    return [
+        HarmonySession(s.model, s.topology, s.config).run() for s in specs
+    ]
 
 
 def supervisor(**kwargs) -> Supervisor:
@@ -189,9 +202,9 @@ class TestSupervisorBasics:
         assert report.tasks == 6 and report.executed == 6
         assert report.clean
 
-    def test_run_specs_matches_sweeprunner(self):
+    def test_run_specs_matches_direct_runs(self):
         specs = small_sweep()
-        baseline = SweepRunner(jobs=1).run_all(specs)
+        baseline = direct_runs(specs)
         supervised = supervisor(jobs=2).run_specs(specs)
         assert [chrome_json(r) for r in supervised] == [
             chrome_json(r) for r in baseline
@@ -269,6 +282,39 @@ class TestRetryAndQuarantine:
         with pytest.raises(PoisonedSpecError):
             sup.run_tasks([task])
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+    def test_quarantine_cause_is_the_last_exception(self, inline):
+        sup = supervisor(
+            jobs=1, inline=inline, policy=RetryPolicy(max_attempts=2, **FAST)
+        )
+        task = Task(key="poison", fn=ch.always_raise, payload=None)
+        (outcome,) = sup.run_tasks([task], return_exceptions=True)
+        assert isinstance(outcome, PoisonedSpecError)
+        assert isinstance(outcome.__cause__, RuntimeError)
+        assert str(outcome.__cause__) == "always broken"
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+    def test_quarantine_keeps_the_worker_traceback(self, inline, monkeypatch):
+        # A simulator bug comes back from the spec worker as a
+        # WorkerError; once quarantined it is the error's cause, so the
+        # traceback of the failing frame stays reachable.  (Pool
+        # workers fork after the patch, so they see it too.)
+        import repro.core.session as session_mod
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("simulator bug")
+
+        monkeypatch.setattr(session_mod, "HarmonySession", explode)
+        sup = supervisor(
+            jobs=1, inline=inline, policy=RetryPolicy(max_attempts=1)
+        )
+        (outcome,) = sup.run_specs(small_sweep()[:1], return_exceptions=True)
+        assert isinstance(outcome, PoisonedSpecError)
+        cause = outcome.__cause__
+        assert isinstance(cause, WorkerError)
+        assert cause.exc_type == "RuntimeError"
+        assert "explode" in cause.traceback_text
+
     def test_domain_error_executes_exactly_once(self, tmp_path):
         # ReproError is an *answer* (infeasible), not a fault: retrying
         # it would just repeat the deterministic failure.
@@ -305,7 +351,7 @@ class TestJournalReplay:
         uninterrupted run."""
         journal = str(tmp_path / "j.jsonl")
         specs = small_sweep()
-        uninterrupted = SweepRunner(jobs=1).run_all(specs)
+        uninterrupted = direct_runs(specs)
 
         landed = []
 
