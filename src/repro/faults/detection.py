@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
@@ -320,12 +321,16 @@ class HeartbeatMonitor:
     def _schedule(
         self, engine: "Engine", device: str, offset: float, local: float
     ) -> None:
-        def beat() -> None:
-            now_global = offset + engine.now
-            self.observed.append((device, now_global))
-            gap = self.config.interval * straggler_factor(
-                self.plan, device, now_global
-            )
-            engine.after(gap, beat, daemon=True)
+        engine.at(local, partial(self._beat, engine, device, offset), daemon=True)
 
-        engine.at(local, beat, daemon=True)
+    def _beat(self, engine: "Engine", device: str, offset: float) -> None:
+        # Each emission schedules a fresh partial for the next: a beat
+        # that re-queued itself would hold a reference to itself.
+        now_global = offset + engine.now
+        self.observed.append((device, now_global))
+        gap = self.config.interval * straggler_factor(
+            self.plan, device, now_global
+        )
+        engine.after(
+            gap, partial(self._beat, engine, device, offset), daemon=True
+        )

@@ -122,7 +122,7 @@ def capture_snapshot(
     stats = ex.stats
     return Snapshot(
         iteration=iteration,
-        epoch=ex._epoch,
+        epoch=ex._clock.epoch,
         samples=ex._samples,
         events_processed=ex.engine.events_processed,
         trace_events=tuple(ex.trace.events),
@@ -218,7 +218,7 @@ def install_snapshot(ex: "Executor", snap: Snapshot) -> None:
         timelines[name].busy_seconds = busy_seconds
     ex.trace.events[:] = snap.trace_events
     ex.engine.events_processed = snap.events_processed
-    ex._epoch = snap.epoch
+    ex._clock.epoch = snap.epoch
     ex._samples = snap.samples
 
 

@@ -148,6 +148,13 @@ class Engine:
     def pending_events(self) -> int:
         return self._pending
 
+    def discard_pending(self) -> None:
+        """Drop every pending event, for an engine that will never run
+        again (see ``Executor.run``)."""
+        self._times.clear()
+        self._buckets.clear()
+        self._live = self._pending = 0
+
 
 class ResourceTimeline:
     """A serially-shared resource: FIFO occupancy with busy accounting."""

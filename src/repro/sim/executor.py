@@ -112,6 +112,25 @@ class ExecOptions:
             )
 
 
+class _Clock:
+    """Usage-log clock: epoch-rebased runs report absolute time
+    (``epoch`` stays 0.0 on the legacy path, and ``0.0 + now`` is
+    bitwise ``now``).  The manager holds the bound :meth:`now`, which
+    reaches the engine but not the executor, so the executor -> manager
+    -> clock chain closes no reference cycle."""
+
+    __slots__ = ("engine", "epoch")
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        #: Absolute time of the current iteration's local t=0 on the
+        #: cycle path.
+        self.epoch = 0.0
+
+    def now(self) -> float:
+        return self.epoch + self.engine.now
+
+
 @dataclass(slots=True)
 class _DeviceState:
     name: str
@@ -138,12 +157,10 @@ class Executor:
         self.engine = Engine()
         self.stats = SwapStats()
         self.trace = Trace()
-        # Clock for usage-log timestamps: epoch-rebased runs report
-        # absolute time (``_epoch`` stays 0.0 on the legacy path, and
-        # ``0.0 + now`` is bitwise ``now``).
+        self._clock = _Clock(self.engine)
         self.manager = MemoryManager(
             topology, plan.registry, plan.policy, self.stats,
-            clock=lambda: self._epoch + self.engine.now,
+            clock=self._clock.now,
         )
         self.links = {name: ResourceTimeline(name) for name in topology.links}
         self.compute_streams = {
@@ -214,9 +231,6 @@ class Executor:
         self._cycle_path = (
             self.injector is None and self.options.iterations > 1
         )
-        #: Absolute time of the current iteration's local t=0 on the
-        #: cycle path; stays 0.0 on the legacy path.
-        self._epoch = 0.0
         self._all_timelines = (
             *self.links.values(), *self.compute_streams.values()
         )
@@ -230,15 +244,23 @@ class Executor:
     # -- public ------------------------------------------------------------
 
     def run(self) -> RunResult:
-        # The event loop's garbage is acyclic and refcount-reclaimed;
-        # gen-2 GC passes rescanning the O(fleet) live plan graph are
+        # Gen-2 GC passes rescanning the O(fleet) live plan graph are
         # what made per-event cost grow with fleet size (see
         # :mod:`repro.util.gcpause`).
         with paused_gc():
-            if self._cycle_path:
-                result = self._run_cycles()
-            else:
-                result = self._run_legacy()
+            try:
+                if self._cycle_path:
+                    result = self._run_cycles()
+                else:
+                    result = self._run_legacy()
+            finally:
+                # The engine never runs again.  Whatever it still holds
+                # (a fault injector's trailing daemons, or the in-flight
+                # work of a run an exception aborted) would keep its
+                # callbacks, and the executor they reach, in a cycle
+                # through the calendar; the rest of a finished run's
+                # graph is acyclic, so refcounting frees it.
+                self.engine.discard_pending()
         if self.options.audit:
             # Imported lazily: repro.validate pulls in the session layer
             # for its differential checker, which imports this module.
@@ -274,7 +296,7 @@ class Executor:
         Every iteration starts at local ``t=0`` with every resource
         timeline free (the engine fully drains between iterations, so
         zeroing loses nothing); the iteration's trace events are
-        committed to absolute time by adding ``self._epoch`` at the
+        committed to absolute time by adding ``self._clock.epoch`` at the
         boundary.  An iteration is therefore a pure function of its
         entry state, and once two consecutive entry fingerprints match
         bitwise, every remaining iteration is proven identical:
@@ -361,7 +383,7 @@ class Executor:
                 stop_journals(self)
             # -- iteration boundary: commit and rebase ----------------
             self._commit_trace(mark)
-            self._epoch += local_makespan
+            self._clock.epoch += local_makespan
             mark = len(self.trace.events)
             self._reset_iteration()
             if engine.pending_events:
@@ -430,7 +452,7 @@ class Executor:
 
     def _commit_trace(self, mark: int) -> None:
         """Shift ``trace.events[mark:]`` from local to absolute time."""
-        epoch = self._epoch
+        epoch = self._clock.epoch
         if epoch == 0.0:
             return
         events = self.trace.events
@@ -686,14 +708,13 @@ class Executor:
         return result
 
     def _result(self) -> RunResult:
-        makespan = max(self.trace.makespan(), self._epoch + self.engine.now)
+        makespan = max(self.trace.makespan(), self._clock.now())
         devices = {}
         compute_busy_by_dev = (
             None if self._cycle_path
             else self.trace.busy_seconds_by_device("compute")
         )
-        swap_in_by_dev = self.stats.volume_by_device(Direction.SWAP_IN)
-        swap_out_by_dev = self.stats.volume_by_device(Direction.SWAP_OUT)
+        volumes = self.stats.volume_totals()
         for gpu in self.topology.gpus():
             pool = self.manager.pools[gpu.name]
             if self._cycle_path:
@@ -712,8 +733,8 @@ class Executor:
                 peak_used=pool.peak_used,
                 peak_demand=pool.peak_demand,
                 compute_busy=compute_busy,
-                swap_in_bytes=swap_in_by_dev.get(gpu.name, 0),
-                swap_out_bytes=swap_out_by_dev.get(gpu.name, 0),
+                swap_in_bytes=volumes.get((gpu.name, Direction.SWAP_IN), 0),
+                swap_out_bytes=volumes.get((gpu.name, Direction.SWAP_OUT), 0),
                 peak_activation=self.manager.activation_peak.get(gpu.name, 0.0),
             )
         return RunResult(

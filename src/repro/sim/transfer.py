@@ -32,6 +32,42 @@ _CATEGORY = {
 }
 
 
+class _Chain:
+    """One in-progress op chain; calling it resumes the chain.
+
+    A slotted object, not a closure: a closure passed as its own
+    continuation references itself through its cell, which made every
+    finished chain — and, through ``done``, the executor behind it —
+    cyclic garbage.  Only the pending event or waiter that will resume
+    a chain references it.  A call may re-enter through a nested
+    substitute chain; the shared cursor keeps every op exactly-once.
+    """
+
+    __slots__ = ("ops", "cursor", "execute", "done")
+
+    def __init__(
+        self,
+        ops: Sequence[MemOp],
+        execute: Callable[[MemOp, Callable[[], None]], bool],
+        done: Callable[[], None],
+    ):
+        self.ops = ops
+        self.cursor = 0
+        self.execute = execute
+        self.done = done
+
+    def __call__(self) -> None:
+        ops = self.ops
+        n = len(ops)
+        execute = self.execute
+        while self.cursor < n:
+            op = ops[self.cursor]
+            self.cursor += 1
+            if not execute(op, self):
+                return  # async: the chain re-runs when the op completes
+        self.done()
+
+
 class TransferEngine:
     """Executes memory-op chains, one op at a time, over shared links.
 
@@ -112,23 +148,9 @@ class TransferEngine:
         satisfied transfers) are consumed in a loop rather than through
         continuation recursion — most ops in a chain complete instantly,
         and the loop spends one iteration where the recursive form spent
-        three frames.  ``step`` may re-enter itself through a nested
-        substitute chain; the shared cursor keeps every op exactly-once.
-        """
-        n = len(ops)
-        cursor = 0
-        execute = self._execute_op
-
-        def step() -> None:
-            nonlocal cursor
-            while cursor < n:
-                op = ops[cursor]
-                cursor += 1
-                if not execute(op, step):
-                    return  # async: step re-runs when the op completes
-            done()
-
-        step()
+        three frames.  The chain is its own continuation (see
+        :class:`_Chain`)."""
+        _Chain(ops, self._execute_op, done)()
 
     def execute_op(self, op: MemOp, done: Callable[[], None]) -> None:
         """Run one op; ``done`` fires when it completes (possibly now)."""

@@ -141,15 +141,15 @@ def apply_fast_forward(ex: "Executor", ledger: CycleLedger, skip: int) -> None:
     """
     from repro.sim.trace import PeriodicSegment
 
-    start_offset = ex._epoch
-    ex._epoch = fold_repeat(ex._epoch, (ledger.period,), skip)
+    start_offset = ex._clock.epoch
+    ex._clock.epoch = fold_repeat(ex._clock.epoch, (ledger.period,), skip)
     ex.trace.add_segment(
         PeriodicSegment(
             insert_at=len(ex.trace.events),
             start_offset=start_offset,
             period=ledger.period,
             count=skip,
-            end_offset=ex._epoch,
+            end_offset=ex._clock.epoch,
             events=ledger.trace_cycle,
         )
     )

@@ -151,10 +151,13 @@ def check_link_feasibility(
             )
 
     single_host = len(topology.hosts()) == 1
+    volumes = result.stats.volume_totals()
     routed_bytes: dict[str, float] = defaultdict(float)
     for gpu in topology.gpus():
-        out_bytes = result.stats.swap_out_volume(gpu.name)
-        in_bytes = result.stats.swap_in_volume(gpu.name) if single_host else 0.0
+        out_bytes = volumes.get((gpu.name, Direction.SWAP_OUT), 0)
+        in_bytes = (
+            volumes.get((gpu.name, Direction.SWAP_IN), 0) if single_host else 0.0
+        )
         if out_bytes + in_bytes <= 0:
             continue
         for link in topology.host_route(gpu.name).links:
@@ -261,10 +264,10 @@ def check_conservation(result: RunResult) -> list[AuditViolation]:
     for event in result.trace.events:
         trace_bytes[(event.device, event.category)] += event.nbytes
 
+    volumes = result.stats.volume_totals()
     stats_devices = set(result.stats.devices())
     trace_devices = {d for d, _ in trace_bytes}
     for device in sorted(stats_devices | trace_devices):
-        by_direction = result.stats.direction_volumes(device)
         pairs = [
             (Direction.SWAP_IN, trace_bytes[(device, "swap_in")], "swap-in"),
             (Direction.SWAP_OUT, trace_bytes[(device, "swap_out")], "swap-out"),
@@ -275,7 +278,7 @@ def check_conservation(result: RunResult) -> list[AuditViolation]:
             ),
         ]
         for direction, traced, label in pairs:
-            ledger = by_direction[direction]
+            ledger = volumes.get((device, direction), 0.0)
             if not _close(ledger, traced, _BYTE_TOL):
                 violations.append(
                     AuditViolation(
@@ -309,7 +312,7 @@ def check_conservation(result: RunResult) -> list[AuditViolation]:
             ("swap_out_bytes", Direction.SWAP_OUT),
         ):
             reported = getattr(report, attr)
-            ledger = result.stats.volume(device, None, direction)
+            ledger = volumes.get((device, direction), 0)
             if not _close(reported, ledger, _BYTE_TOL):
                 violations.append(
                     AuditViolation(
@@ -337,12 +340,14 @@ def check_retry_ledger(result: RunResult) -> list[AuditViolation]:
     ledger.  This is what keeps trace<->ledger conservation exact under
     fault injection."""
     violations: list[AuditViolation] = []
+    volumes = result.stats.volume_totals()
+    retries = result.stats.retried_totals()
     for device in result.stats.devices():
         for direction in Direction:
-            retried = result.stats.retried_volume(device, None, direction)
+            retried = retries.get((device, direction), 0)
             if retried <= 0:
                 continue
-            total = result.stats.volume(device, None, direction)
+            total = volumes.get((device, direction), 0)
             if not _leq(retried, total, _BYTE_TOL):
                 violations.append(
                     AuditViolation(

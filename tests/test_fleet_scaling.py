@@ -302,6 +302,83 @@ class TestRemoteSwap:
         assert HarmonyOptions(remote_swap=True).memory_policy().remote_swap
 
 
+class _CountingLedger(dict):
+    """A copy of a ledger dict that counts full passes over itself."""
+
+    def __init__(self, ledger):
+        super().__init__(ledger)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.passes += 1
+        return super().keys()
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+class _CountingEvents(list):
+    """A copy of a trace's event list that counts full passes."""
+
+    def __init__(self, events):
+        super().__init__(events)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestLinearAudit:
+    """The audit reads the swap ledgers and the trace a fixed number of
+    times whatever the fleet size; a per-device ledger rescan made it
+    O(devices x ledger keys), costlier than the run it audits at 1024
+    devices."""
+
+    @staticmethod
+    def _audit_passes(num_gpus):
+        from repro.validate import audit_run
+
+        model = zoo.synthetic_uniform(
+            num_layers=4, param_bytes_per_layer=10 * MB, activation_bytes=2 * MB
+        )
+        topology = presets.commodity_server(num_gpus=num_gpus)
+        session = HarmonySession(
+            model, topology, HarmonyConfig("harmony-dp", batch=BatchConfig(1, 2))
+        )
+        result = session.run()
+        stats = result.stats
+        stats._volume = _CountingLedger(stats._volume)
+        stats._retried = _CountingLedger(stats._retried)
+        result.trace.events = _CountingEvents(result.trace.events)
+        report = audit_run(result, topology, session.plan())
+        assert report.passed, report.render()
+        assert len(stats.devices()) >= num_gpus  # every device ledgered
+        return (
+            stats._volume.passes,
+            stats._retried.passes,
+            result.trace.events.passes,
+        )
+
+    def test_ledger_and_trace_passes_independent_of_fleet_size(self):
+        small = self._audit_passes(16)
+        large = self._audit_passes(256)
+        assert small == large
+        volume, retried, trace = small
+        assert 1 <= volume <= 4
+        assert retried <= 2
+        assert 1 <= trace <= 6
+
+
 class TestStatsRunningAggregates:
     def test_devices_served_from_running_set(self):
         from repro.memory.stats import Direction, SwapStats
@@ -315,20 +392,36 @@ class TestStatsRunningAggregates:
         assert stats._devices == {"a", "b"}
 
     def test_summary_single_pass_matches_filtered_volume(self):
+        """Every figure summary() prints equals the filtered volume() /
+        retried_volume() query for its device, in the same format."""
         from repro.memory.stats import Direction, SwapStats
         from repro.tensors.tensor import TensorKind
+        from repro.units import GB
 
         stats = SwapStats()
         for i in range(50):
-            stats.record(
+            record = stats.record_retry if i % 3 == 0 else stats.record
+            record(
                 f"g{i % 7}",
                 TensorKind.WEIGHT if i % 2 else TensorKind.ACTIVATION,
                 list(Direction)[i % 5],
-                float(i) * 1e9,
+                float(i) * 1.37e9,
             )
-        text = stats.summary()
+        stats.record("idle", TensorKind.WEIGHT, Direction.DROP, 0.0)
+        expected = ["swap stats (GB):"]
         for device in stats.devices():
-            assert f"  {device}: " in text
+            parts = [
+                f"{d.value}={stats.volume(device, None, d) / GB:.2f}"
+                for d in Direction
+                if stats.volume(device, None, d)
+            ]
+            retried = stats.retried_volume(device)
+            if retried:
+                parts.append(f"retried={retried / GB:.2f}")
+            expected.append(f"  {device}: " + (", ".join(parts) or "none"))
+        assert stats.summary() == "\n".join(expected)
+        assert "retried=" in stats.summary()
+        assert "  idle: none" in stats.summary()
 
     def test_checkpoint_restore_rebuilds_roster(self):
         """The prefix-checkpoint path replaces the ledger wholesale;

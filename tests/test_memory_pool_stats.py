@@ -1,6 +1,8 @@
 """Device pools and swap statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CapacityError, SimulationError
 from repro.memory.allocator import DevicePool
@@ -115,3 +117,39 @@ class TestSwapStats:
         stats = SwapStats()
         stats.record("g", TensorKind.WEIGHT, Direction.SWAP_IN, 2e9)
         assert "swap_in=2.00" in stats.summary()
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(["gpu0", "gpu1", "gpu2", "cpu0"]),
+        st.sampled_from(list(TensorKind)),
+        st.sampled_from(list(Direction)),
+        st.floats(min_value=0.0, max_value=1e13, allow_subnormal=True),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+@given(records=_RECORDS)
+@settings(max_examples=200, deadline=None)
+def test_totals_are_bitwise_the_filtered_sums(records):
+    """The one-pass per-(device, direction) totals equal the filtered
+    ``volume`` / ``retried_volume`` sums bit for bit — same values,
+    same type, for present and absent pairs alike."""
+    stats = SwapStats()
+    for device, kind, direction, nbytes, retry in records:
+        record = stats.record_retry if retry else stats.record
+        record(device, kind, direction, nbytes)
+    volumes = stats.volume_totals()
+    retried = stats.retried_totals()
+    for device in ("gpu0", "gpu1", "gpu2", "cpu0", "absent"):
+        for direction in Direction:
+            key = (device, direction)
+            for totals, filtered in (
+                (volumes, stats.volume(device, None, direction)),
+                (retried, stats.retried_volume(device, None, direction)),
+            ):
+                total = totals.get(key, 0)
+                assert type(total) is type(filtered)
+                assert repr(total) == repr(filtered)
