@@ -88,19 +88,11 @@ class HarmonySession:
         iterations under the fault plan, with the aggregate
         :class:`~repro.faults.report.FaultReport` attached to
         ``result.faults`` (and each faulty segment audited when
-        ``config.audit`` is on); fault plans veto fast-forward.
+        ``config.audit`` is on); fault plans veto fast-forward, and
+        ``result.steady`` records the veto.
         """
         if self._result is None or fresh:
             if self.config.faults is not None:
-                from repro.errors import ConfigError
-                from repro.steady import SteadyMode, SteadyReport, resolve_mode
-
-                steady_mode = resolve_mode(self.config.steady_state)
-                if steady_mode is SteadyMode.FORCE:
-                    raise ConfigError(
-                        "steady-state 'force' is incompatible with fault "
-                        "injection: fault windows veto fast-forward"
-                    )
                 # Imported lazily: the runner re-invokes build_scheduler
                 # mid-run, and keeping it out of the session's import
                 # graph keeps healthy runs' startup unchanged.
@@ -113,15 +105,6 @@ class HarmonySession:
                     self.config.faults,
                     policy=self.config.resilience,
                     iterations=self.config.iterations,
-                )
-                # Fault plans veto fast-forward wholesale: the resilient
-                # runner's executors all take the legacy path, keeping
-                # faulty runs bit-for-bit identical to pre-steady-state
-                # behavior.  Record the veto so callers see why.
-                result.steady = SteadyReport(
-                    mode=steady_mode.value,
-                    live_iterations=self.config.iterations,
-                    vetoes=("fault-injection",),
                 )
                 if self.config.audit:
                     from repro.validate.audit import audit_resilient

@@ -77,6 +77,7 @@ from repro.schedulers import build_scheduler
 from repro.sim.executor import ExecOptions, Executor
 from repro.sim.plan import Plan
 from repro.sim.result import RunResult
+from repro.steady import SteadyMode, SteadyReport, resolve_mode
 
 #: Exceptions that mean "the fault could not be absorbed" rather than
 #: "the simulator is broken": they end the run with ``recovered=False``.
@@ -539,7 +540,23 @@ def run_resilient(
     retries, failure detection, and policy-driven recovery; never
     raises on an injected fault — inspect ``result.faults.recovered``.
     Deterministic: the same (model, topology, config, fault_plan,
-    policy) replays byte-identically."""
-    return _ResilientRun(
+    policy) replays byte-identically.
+
+    Every segment simulates one iteration, so nothing is ever
+    fast-forwarded: ``result.steady`` records the veto, and a
+    ``force`` steady-state mode (from ``config`` or the process
+    default) is a :class:`~repro.errors.ConfigError`."""
+    mode = resolve_mode(config.steady_state)
+    if mode is SteadyMode.FORCE:
+        raise ConfigError(
+            "steady-state 'force' is incompatible with fault injection: "
+            "fault windows veto fast-forward"
+        )
+    result = _ResilientRun(
         model, topology, config, fault_plan, policy, iterations
     ).execute()
+    result.steady = SteadyReport(
+        mode=mode.value, live_iterations=iterations,
+        vetoes=("fault-injection",),
+    )
+    return result

@@ -66,10 +66,6 @@ class MemOp:
     #: so retries reuse the same target).  ``None`` = the local host.
     host: str | None = None
 
-    @property
-    def is_transfer(self) -> bool:
-        return self.kind in (MemOpKind.SWAP_OUT, MemOpKind.SWAP_IN, MemOpKind.P2P)
-
     def __str__(self) -> str:
         return f"{self.kind.value}({self.tensor.label}, {self.src}->{self.dst})"
 
@@ -147,12 +143,6 @@ class MemoryManager:
         self.activation_resident[device] = resident
         if resident > self.activation_peak[device]:
             self.activation_peak[device] = resident
-
-    def _log_usage(self, device: str | None) -> None:
-        pool = self.pools.get(device)
-        if pool is None:
-            return
-        self.usage_log[device].append((self.clock(), pool.used))
 
     # -- residency planning ----------------------------------------------------
 
@@ -714,9 +704,6 @@ class MemoryManager:
         return ops
 
     # -- diagnostics ---------------------------------------------------------------------
-
-    def resident_bytes(self, device: str) -> float:
-        return self.pool(device).used
 
     def describe(self) -> str:
         lines = [f"memory manager ({self.policy})"]

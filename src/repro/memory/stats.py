@@ -183,11 +183,6 @@ class SwapStats:
         """:meth:`volume_totals` of the retry ledger (``retried_volume``)."""
         return _device_direction_totals(self._retried)
 
-    def total_volume(self) -> float:
-        """Every byte the ledger saw move (all devices, all directions,
-        including clean drops) — a cheap conservation checksum."""
-        return sum(self._volume.values())
-
     def devices(self) -> list[str]:
         """Sorted roster of devices that moved any bytes — served from
         the running :attr:`_devices` aggregate, not a ledger scan."""

@@ -255,7 +255,12 @@ def _time_incremental(quick: bool) -> dict:
     deepest iteration boundary and simulates only the final iteration
     plus the flush.  Byte-identity of the restored run against its cold
     twin is *asserted* — makespan, Chrome trace JSON, swap ledger —
-    before the per-probe speedup is reported and gated."""
+    before the per-probe speedup is reported and gated.
+
+    After the donor run, cold and warm probes are timed in interleaved
+    pairs, alternating which of the two goes first, so both sides see
+    the same host contention (another bench section may run beside this
+    one); the speedup is ``min(cold) / min(warm)``."""
     from dataclasses import replace
 
     from repro.perf.incremental import CheckpointStore
@@ -263,8 +268,7 @@ def _time_incremental(quick: bool) -> dict:
 
     iterations = 6 if quick else 8
     gate_floor = 2.0 if quick else 3.0
-    cold_repeats = 2 if quick else 3
-    warm_repeats = 3 if quick else 5
+    pairs = 5 if quick else 8
     spec = _fig4_workload()
     config = replace(spec.config, iterations=iterations, steady_state="off")
 
@@ -275,19 +279,18 @@ def _time_incremental(quick: bool) -> dict:
         ).run()
         return time.perf_counter() - t0, result
 
-    cold_sec = float("inf")
-    for _ in range(cold_repeats):
-        elapsed, cold = run(None)
-        cold_sec = min(cold_sec, elapsed)
-
     store = CheckpointStore()
     run(store)  # donor: populates the store (one miss, boundary writes)
-    warm_sec = float("inf")
-    warm = None
-    for _ in range(warm_repeats):
-        elapsed, candidate = run(store)
-        if elapsed < warm_sec:
-            warm_sec, warm = elapsed, candidate
+    cold_sec = warm_sec = float("inf")
+    cold = warm = None
+    for i in range(pairs):
+        order = (None, store) if i % 2 == 0 else (store, None)
+        for checkpoints in order:
+            elapsed, result = run(checkpoints)
+            if checkpoints is None:
+                cold_sec, cold = min(cold_sec, elapsed), result
+            elif elapsed < warm_sec:
+                warm_sec, warm = elapsed, result
 
     mismatches = [
         name

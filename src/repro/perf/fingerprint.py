@@ -43,7 +43,12 @@ from repro.models.graph import ModelGraph
 #: 2026.08-pr6: scheduler zoo — pipedream-1f1b and dapple joined the
 #: registry, and every RunResult now carries per-device peak
 #: activation-class residency (``DeviceReport.peak_activation``).
-SCHEDULER_VERSION = "2026.08-pr6"
+#: 2026.10-one-loop: every run takes the rebased-clock loop.  A
+#: one-iteration run's ``compute_busy`` now reads the compute stream's
+#: busy ledger instead of summing the trace (it moves in the last bits,
+#: up to ~1e-13 relative), and every healthy RunResult carries a
+#: ``SteadyReport``; results cached before this change must miss.
+SCHEDULER_VERSION = "2026.10-one-loop"
 
 
 class FingerprintError(ReproError):
@@ -138,11 +143,11 @@ def base_fingerprint(
     Two runs share simulated-iteration prefixes exactly when they run
     the same model on the same topology under the same config *modulo
     iteration count* — iteration ``k`` of a 4-iteration run is bitwise
-    identical to iteration ``k`` of a 100-iteration run on the rebased
-    cycle path.  So the prefix-checkpoint store
-    (:mod:`repro.perf.incremental`) keys snapshots by this digest plus
-    the iteration-boundary index, and ``iterations`` is stripped from
-    the canonical form.
+    identical to iteration ``k`` of a 100-iteration run, because the
+    executor rebases its clock at every boundary.  So the
+    prefix-checkpoint store (:mod:`repro.perf.incremental`) keys
+    snapshots by this digest plus the iteration-boundary index, and
+    ``iterations`` is stripped from the canonical form.
 
     The *resolved* steady-state mode is mixed in instead of the raw
     ``steady_state`` field: ``None`` inherits a process-global default

@@ -1,11 +1,11 @@
 """Incremental re-simulation: prefix checkpoints at iteration boundaries.
 
 The run cache (:mod:`repro.perf.cache`) reuses *whole* runs; this module
-reuses *prefixes*.  On the executor's rebased cycle path an iteration is
-a pure function of its entry state, so the simulator's complete state at
-an iteration boundary — tensor residency, pool accounting, swap ledger,
-timeline busy counters, committed trace, epoch — is a resumable
-continuation.  :class:`CheckpointStore` keys those continuations by the
+reuses *prefixes*.  The executor rebases its clock at every iteration
+boundary, so an iteration is a pure function of its entry state, and
+the simulator's complete state at an iteration boundary — tensor
+residency, pool accounting, swap ledger, timeline busy counters,
+committed trace, epoch — is a resumable continuation.  :class:`CheckpointStore` keys those continuations by the
 hierarchical prefix key (:func:`repro.perf.fingerprint.base_fingerprint`
 — the spec *modulo iteration count* — then the boundary index), and a
 run that shares the key restores the deepest boundary ``<= n - 1`` and
@@ -55,7 +55,7 @@ if TYPE_CHECKING:
 class Snapshot:
     """Complete simulator state at one iteration boundary.
 
-    Captured on the cycle path after the boundary reset (engine drained
+    Captured after the boundary reset (engine drained
     and rebased to local ``t=0``, timelines freed, per-microbatch
     tensors reborn), so the volatile scheduling state — device states,
     arrival sets, in-flight waiters — is in its deterministic

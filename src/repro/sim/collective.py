@@ -17,13 +17,10 @@ precomputed (``2(N-1)/N x payload`` for all-reduce, ``(N-1)/N x
 payload`` for the ZeRO all-gather).  The cut-through assumption matches
 :meth:`Route.transfer_time`: rounds pipeline, so latency is paid once.
 
-The *expanded per-hop* audit mode (``ExecOptions.collective_mode =
-"per-hop"``) subdivides the same closed-form window into the 2(N-1)
-ring rounds, tracing each round on every participant.  Round ``k`` of
-``R`` ends at ``start + duration * (k / R)`` — for ``k == R`` the
-factor is exactly 1.0, so the expansion's final event lands bitwise on
-the analytic end time: the bit-identity tests assert equal makespans on
-small fleets across every scheduler scheme.
+``TestClosedFormCollective`` in ``tests/test_fleet_scaling.py``
+recomputes the window from the topology's routes and holds the
+transfer engine's completion callback and every ring link's busy time
+to it bitwise.
 """
 
 from __future__ import annotations
@@ -54,16 +51,6 @@ class CollectiveOp:
     #: Every distinct link the ring occupies, in first-use order
     #: (hop order, then link order along each hop's route).
     link_names: tuple[str, ...]
-
-    @property
-    def world(self) -> int:
-        return len(self.participants)
-
-    @property
-    def rounds(self) -> int:
-        """Ring rounds the analytic window stands in for: N-1 reduce-
-        scatter + N-1 all-gather steps."""
-        return 2 * (len(self.participants) - 1)
 
     def duration(self, comm_bytes: float) -> float:
         """Closed-form collective duration for one participant's wire

@@ -65,29 +65,27 @@ class ExecOptions:
         Fault injector (:mod:`repro.faults`) for this run: stretches
         compute under stragglers, degrades/defers/fails transfers, and
         arms device-loss and memory-pressure events on the engine.
-        ``None`` simulates a healthy machine.
+        ``None`` simulates a healthy machine.  Only with
+        ``iterations == 1``: fault daemons are armed in absolute time.
     steady_state:
         Steady-state fast-forward mode (``"auto"``/``"off"``/``"force"``
         or a :class:`~repro.steady.SteadyMode`); ``None`` inherits the
-        process default (see :func:`repro.steady.resolve_mode`).  Any
-        injector vetoes fast-forward wholesale, keeping fault-injected
-        runs bit-for-bit identical to the pre-steady-state simulator.
+        process default (see :func:`repro.steady.resolve_mode`).
+        Detection and the ``force`` check apply only when
+        ``iterations > 1``: a one-iteration run has no boundary to
+        detect at.
     checkpoints:
-        Prefix-checkpoint store (:mod:`repro.perf.incremental`).  On the
-        cycle path the executor restores the deepest stored boundary
+        Prefix-checkpoint store (:mod:`repro.perf.incremental`).  The
+        executor restores the deepest stored boundary
         ``<= iterations - 1`` before simulating, and writes throttled
         boundary snapshots as it runs — byte-identical results either
         way.  Requires ``checkpoint_key`` (the hierarchical prefix key);
-        ignored on the legacy path (single iteration or faults).
+        a one-iteration run reaches no boundary, so it neither restores
+        nor writes.
     checkpoint_key:
         The :func:`repro.perf.fingerprint.base_fingerprint` of this run
         — the session layer computes it (and leaves it ``None`` for
         unfingerprintable specs, which then run cold).
-    collective_mode:
-        ``"analytic"`` (default) costs each collective as one closed-form
-        timed event; ``"per-hop"`` expands the same window into traced
-        ring rounds — the audit mode the bit-identity tests run on small
-        fleets (see :mod:`repro.sim.collective`).
     """
 
     prefetch: bool = False
@@ -98,33 +96,32 @@ class ExecOptions:
     steady_state: "SteadyMode | str | None" = None
     checkpoints: "CheckpointStore | None" = None
     checkpoint_key: str | None = None
-    collective_mode: str = "analytic"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise SimulationError("iterations must be >= 1")
+        if self.injector is not None and self.iterations > 1:
+            raise SimulationError(
+                "fault injection runs one iteration per executor "
+                f"(got iterations={self.iterations}); "
+                "repro.faults.run_resilient chains iterations"
+            )
         if self.steady_state is not None:
             SteadyMode.parse(self.steady_state)  # validate eagerly
-        if self.collective_mode not in ("analytic", "per-hop"):
-            raise SimulationError(
-                f"unknown collective_mode {self.collective_mode!r}; "
-                "choose 'analytic' or 'per-hop'"
-            )
 
 
 class _Clock:
     """Usage-log clock: epoch-rebased runs report absolute time
-    (``epoch`` stays 0.0 on the legacy path, and ``0.0 + now`` is
-    bitwise ``now``).  The manager holds the bound :meth:`now`, which
-    reaches the engine but not the executor, so the executor -> manager
-    -> clock chain closes no reference cycle."""
+    (``epoch`` stays 0.0 until the first iteration boundary, and
+    ``0.0 + now`` is bitwise ``now``).  The manager holds the bound
+    :meth:`now`, which reaches the engine but not the executor, so the
+    executor -> manager -> clock chain closes no reference cycle."""
 
     __slots__ = ("engine", "epoch")
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        #: Absolute time of the current iteration's local t=0 on the
-        #: cycle path.
+        #: Absolute time of the current iteration's local t=0.
         self.epoch = 0.0
 
     def now(self) -> float:
@@ -171,7 +168,6 @@ class Executor:
         self.transfers = TransferEngine(
             self.engine, topology, self.manager, self.trace, self.links,
             injector=self.injector,
-            collective_mode=self.options.collective_mode,
         )
         if self.injector is not None:
             self.injector.arm(self.engine, self.manager.pools)
@@ -179,8 +175,8 @@ class Executor:
             dev: _DeviceState(dev, list(order))
             for dev, order in plan.device_order.items()
         }
-        # Frozen sorted view: _advance_all runs after every task, and the
-        # device set never changes mid-run.
+        # Frozen sorted view: every iteration starts by advancing each
+        # device, and the device set never changes mid-run.
         self._device_names = tuple(sorted(self.devstates))
         self._tasks = plan.graph.tasks  # validated: every ordered tid exists
         # Targeted wake-up state.  The scheduling loop used to rescan
@@ -218,23 +214,9 @@ class Executor:
         self._started_collectives: set[int] = set()
         self._samples = 0
         self.steady_mode = resolve_mode(self.options.steady_state)
-        if self.injector is not None and self.steady_mode is SteadyMode.FORCE:
-            raise SimulationError(
-                "steady-state 'force' is incompatible with fault injection: "
-                "any injector vetoes fast-forward"
-            )
-        # The cycle path rebases the clock at iteration boundaries so
-        # that steady iterations are bitwise-identical and detectable
-        # (see _run_cycles).  Single-iteration and fault-injected runs
-        # keep the legacy continuous clock: their event streams are
-        # bit-for-bit identical to the pre-steady-state simulator.
-        self._cycle_path = (
-            self.injector is None and self.options.iterations > 1
-        )
         self._all_timelines = (
             *self.links.values(), *self.compute_streams.values()
         )
-        self.steady_report: SteadyReport | None = None
         #: Boundary index a prefix checkpoint restored this run from
         #: (``None`` = cold).  Deliberately *not* part of RunResult:
         #: restored and cold results must compare equal byte-for-byte,
@@ -249,10 +231,7 @@ class Executor:
         # :mod:`repro.util.gcpause`).
         with paused_gc():
             try:
-                if self._cycle_path:
-                    result = self._run_cycles()
-                else:
-                    result = self._run_legacy()
+                result = self._run_cycles()
             finally:
                 # The engine never runs again.  Whatever it still holds
                 # (a fault injector's trailing daemons, or the in-flight
@@ -273,25 +252,8 @@ class Executor:
             result.audit.raise_if_failed()
         return result
 
-    def _run_legacy(self) -> RunResult:
-        """Continuous-clock loop: single-iteration and fault-injected
-        runs, byte-identical to the simulator before the steady-state
-        layer existed."""
-        self.manager.materialize_initial()
-        for iteration in range(self.options.iterations):
-            if iteration > 0:
-                self._reset_iteration()
-            for dev in self._device_names:
-                self._advance(dev)
-            self.engine.run()
-            self._check_complete()
-        if self.options.flush_at_end:
-            self._flush()
-            self.engine.run()
-        return self._result()
-
     def _run_cycles(self) -> RunResult:
-        """Rebased-clock loop for healthy multi-iteration runs.
+        """The event loop, with the clock rebased at iteration boundaries.
 
         Every iteration starts at local ``t=0`` with every resource
         timeline free (the engine fully drains between iterations, so
@@ -303,7 +265,10 @@ class Executor:
         ``auto``/``force`` fast-forward all but the last analytically
         (:mod:`repro.steady.cycle`), while ``off`` simply keeps
         simulating — both arms produce bit-for-bit equal results, which
-        is what the equivalence tests and the bench assert.
+        is what the equivalence tests and the bench assert.  A
+        one-iteration run (every fault-injected run is one) reaches no
+        boundary: its clock is never rebased, and detection and the
+        ``force`` check stay off.
         """
         from repro.steady.cycle import (
             apply_fast_forward,
@@ -316,15 +281,15 @@ class Executor:
         mode = self.steady_mode
         n = self.options.iterations
         engine = self.engine
-        detecting = mode is not SteadyMode.OFF
+        detecting = n > 1 and mode is not SteadyMode.OFF
         detected_at: int | None = None
         skipped = 0
         period: float | None = None
 
         store = self.options.checkpoints
         store_key = self.options.checkpoint_key
-        if store_key is None:
-            store = None  # unfingerprintable spec: run cold, write nothing
+        if store_key is None or n == 1:
+            store = None  # unfingerprintable, or no boundary: run cold
         snap = store.best(store_key, n - 1) if store is not None else None
         if snap is not None:
             # Resume from the donor's deepest shared boundary: install
@@ -389,8 +354,8 @@ class Executor:
             if engine.pending_events:
                 raise SimulationError(
                     "steady-state loop: events pending across an iteration "
-                    "boundary (only fault daemons linger, and injectors "
-                    "take the legacy path)"
+                    "boundary (only fault daemons linger, and injected "
+                    "runs are single-iteration)"
                 )
             engine.now = 0.0
             for tl in self._all_timelines:
@@ -434,7 +399,7 @@ class Executor:
             self._flush()
             engine.run()
         self._commit_trace(mark)
-        if mode is SteadyMode.FORCE and skipped == 0:
+        if mode is SteadyMode.FORCE and n > 1 and skipped == 0:
             raise SteadyStateError(
                 f"steady-state 'force': no cycle proven over {n} iterations "
                 "(detection needs a warm-up, a matching entry, and at least "
@@ -491,10 +456,6 @@ class Executor:
 
     # -- scheduling loop ------------------------------------------------------
 
-    def _advance_all(self) -> None:
-        for dev in self._device_names:
-            self._advance(dev)
-
     def _advance_wakers(self, tid: int) -> None:
         """Advance exactly the devices whose head task may have been
         unblocked by ``tid`` completing (see the wake-up maps in
@@ -519,7 +480,7 @@ class Executor:
         tid = st.order[st.run_idx]
         task = self._tasks[tid]
         if task.kind is TaskKind.ALLREDUCE:
-            self._advance_allreduce(dev, task)
+            self._advance_collective(dev, task)
             return
         if tid in st.ready:
             if st.computing is None:
@@ -579,23 +540,13 @@ class Executor:
 
     # -- allreduce ----------------------------------------------------------------
 
-    def _tensors_on_device(self, task: Task, dev: str) -> list[int]:
-        subsets = self.plan.collective_subsets.get(task.tid)
-        if subsets is not None:
-            return list(subsets.get(dev, ()))
-        reg = self.plan.registry
-        return [
-            tid
-            for tid in task.touched
-            if self._device_of_replica.get(reg.by_id(tid).replica) == dev
-        ]
-
     def _tensors_by_device(
         self, task: Task, participants: list[str]
     ) -> dict[str, list[int]]:
-        """Every participant's :meth:`_tensors_on_device` in one pass
-        over ``task.touched`` instead of one scan per participant —
-        identical lists (each keeps its device's tids in touch order)."""
+        """Each participant's share of ``task``'s tensors: the plan's
+        collective subsets, or else every touched tensor whose replica
+        lives on the participant (in touch order), in one pass over
+        ``task.touched``."""
         subsets = self.plan.collective_subsets.get(task.tid)
         if subsets is not None:
             return {dev: list(subsets.get(dev, ())) for dev in participants}
@@ -609,7 +560,7 @@ class Executor:
                 bucket.append(tid)
         return out
 
-    def _advance_allreduce(self, dev: str, task: Task) -> None:
+    def _advance_collective(self, dev: str, task: Task) -> None:
         st = self.devstates[dev]
         if st.computing is not None or st.prep_inflight is not None:
             return
@@ -637,8 +588,7 @@ class Executor:
             pending["chains"] -= 1
             if pending["chains"] == 0:
                 self.transfers.execute_allreduce(
-                    participants, task.comm_bytes, collective_done,
-                    label=task.label,
+                    participants, task.comm_bytes, collective_done
                 )
 
         def collective_done(start: float, end: float) -> None:
@@ -702,37 +652,35 @@ class Executor:
         """Best-effort result for an interrupted run (a device loss
         aborted the event loop): whatever the trace and ledgers saw up
         to the interruption, with only the actually-finished samples.
-        The resilient runner audits and accounts lost work from this."""
-        result = self._result()
+        Compute busy time sums the trace's finished compute tasks: the
+        compute streams also hold the tasks the loss cut short.  The
+        resilient runner audits and accounts lost work from this."""
+        result = self._result(self.trace.busy_seconds_by_device("compute"))
         result.samples = self._samples
         return result
 
-    def _result(self) -> RunResult:
+    def _result(self, compute_busy: dict[str, float] | None = None) -> RunResult:
+        """Assemble the run's result.  Each GPU's compute busy time
+        comes from ``compute_busy`` when given (absent devices report
+        0), else from its compute stream's busy ledger — O(live
+        iterations) under fast-forward, where summing the expanded
+        trace would be O(events x N), and identical between the
+        off/auto arms (both fold the same additions)."""
+        if compute_busy is None:
+            compute_busy = {
+                dev: tl.busy_seconds for dev, tl in self.compute_streams.items()
+            }
         makespan = max(self.trace.makespan(), self._clock.now())
         devices = {}
-        compute_busy_by_dev = (
-            None if self._cycle_path
-            else self.trace.busy_seconds_by_device("compute")
-        )
         volumes = self.stats.volume_totals()
         for gpu in self.topology.gpus():
             pool = self.manager.pools[gpu.name]
-            if self._cycle_path:
-                # Foldable source: the compute stream's busy ledger —
-                # O(live iterations) under fast-forward where summing
-                # the expanded trace would be O(events x N).  Identical
-                # between off/auto arms (both fold the same additions).
-                compute_busy = self.compute_streams[gpu.name].busy_seconds
-            else:
-                # sum() over no events is int 0; match it for devices
-                # absent from the one-pass map.
-                compute_busy = compute_busy_by_dev.get(gpu.name, 0)
             devices[gpu.name] = DeviceReport(
                 name=gpu.name,
                 capacity=pool.capacity,
                 peak_used=pool.peak_used,
                 peak_demand=pool.peak_demand,
-                compute_busy=compute_busy,
+                compute_busy=compute_busy.get(gpu.name, 0),
                 swap_in_bytes=volumes.get((gpu.name, Direction.SWAP_IN), 0),
                 swap_out_bytes=volumes.get((gpu.name, Direction.SWAP_OUT), 0),
                 peak_activation=self.manager.activation_peak.get(gpu.name, 0.0),

@@ -81,9 +81,9 @@ class RunResult:
     #: the other fields describe the final executed segment.
     faults: "FaultReport | None" = None
     #: Steady-state fast-forward accounting (see :mod:`repro.steady`),
-    #: set by multi-iteration healthy runs; fault-injected and
-    #: single-iteration runs leave it ``None`` (session-level fault
-    #: runs record the veto instead).
+    #: set by every finished run (a one-iteration run reports nothing
+    #: skipped); a resilient fault run records the fast-forward veto.
+    #: Only :meth:`Executor.partial_result` leaves it ``None``.
     steady: "SteadyReport | None" = None
 
     @property

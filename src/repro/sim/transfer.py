@@ -88,7 +88,6 @@ class TransferEngine:
         trace: Trace,
         links: dict[str, ResourceTimeline],
         injector: "FaultInjector | None" = None,
-        collective_mode: str = "analytic",
     ):
         self.engine = engine
         self.topology = topology
@@ -96,7 +95,6 @@ class TransferEngine:
         self.trace = trace
         self.links = links
         self.injector = injector
-        self.collective_mode = collective_mode
         # Route -> timelines, keyed by route identity: the topology's
         # route cache keeps every Route alive and unique per (src, dst),
         # and each transfer over it needs the same timeline list.
@@ -323,34 +321,19 @@ class TransferEngine:
 
     # -- collectives -------------------------------------------------------------
 
-    def collective_for(self, participants: Sequence[str]) -> CollectiveOp:
-        """The cached :class:`CollectiveOp` for ``participants``
-        (resolved on first use)."""
-        key = tuple(participants)
-        cached = self._collectives.get(key)
-        if cached is None:
-            spec = ring_collective(self.topology, key)
-            timelines = [self.links[name] for name in spec.link_names]
-            cached = (spec, timelines)
-            self._collectives[key] = cached
-        return cached[0]
-
     def execute_allreduce(
         self,
         participants: Sequence[str],
         comm_bytes: float,
         done: Callable[[float, float], None],
-        label: str = "collective",
     ) -> None:
         """Ring all-reduce across ``participants``: one timed event that
         occupies the links of every ring hop for the closed-form
-        duration; ``comm_bytes`` is the per-participant wire volume
-        (2(N-1)/N x payload, precomputed by the decomposer).  The ring's
-        routes, bottleneck, and involved-link set are resolved once per
-        participant set and cached (:meth:`collective_for`), so repeat
-        collectives cost O(1) in fleet size.  ``collective_mode ==
-        "per-hop"`` expands the same window into traced ring rounds
-        (see :mod:`repro.sim.collective`)."""
+        duration (see :mod:`repro.sim.collective`); ``comm_bytes`` is
+        the per-participant wire volume (2(N-1)/N x payload,
+        precomputed by the decomposer).  The ring's routes, bottleneck,
+        and involved-link set are resolved once per participant set and
+        cached, so repeat collectives cost O(1) in fleet size."""
         if len(participants) < 2:
             done(self.engine.now, self.engine.now)
             return
@@ -378,45 +361,4 @@ class TransferEngine:
             start, end = ResourceTimeline.acquire_all(timelines, ready, duration)
         else:
             start, end = ready, ready + duration
-        if self.collective_mode == "per-hop":
-            self._expand_per_hop(spec, label, start, duration, end, done)
-            return
         self.engine.at(end, lambda: done(start, end))
-
-    def _expand_per_hop(
-        self,
-        spec: CollectiveOp,
-        label: str,
-        start: float,
-        duration: float,
-        end: float,
-        done: Callable[[float, float], None],
-    ) -> None:
-        """Audit-mode expansion: the analytic window subdivided into the
-        2(N-1) ring rounds, each traced per participant.  Round ``k`` of
-        ``R`` ends at ``start + duration * (k / R)``; for ``k == R`` the
-        factor is exactly 1.0, so the final round's boundary — and the
-        completion callback — land bitwise on the analytic ``end``.  The
-        round markers carry zero bytes: the collective's wire volume is
-        ledgered once by the executor against the single allreduce trace
-        event, and the markers exist to expose the hop schedule to the
-        bit-identity audit, not to double-count traffic."""
-        engine = self.engine
-        trace = self.trace
-        rounds = spec.rounds
-        participants = spec.participants
-        prev = start
-
-        def round_boundary(k: int, round_start: float, round_end: float) -> None:
-            for dev in participants:
-                trace.add(
-                    dev, round_start, round_end, "p2p",
-                    f"{label}.round{k}/{rounds}",
-                )
-            if k == rounds:
-                done(start, end)
-
-        for k in range(1, rounds + 1):
-            boundary = start + duration * (k / rounds) if k < rounds else end
-            engine.at(boundary, partial(round_boundary, k, prev, boundary))
-            prev = boundary

@@ -16,10 +16,12 @@ remaining iterations analytically:
 * :class:`SteadyReport` — what happened, attached to
   ``RunResult.steady``.
 
-Fault-injected runs (:mod:`repro.faults`) never fast-forward: any
-injector — device loss, link flaps, transients, stragglers, memory
-pressure — vetoes the cycle path wholesale and the run is bit-for-bit
-identical to the pre-steady-state simulator.
+Every run takes the executor's one loop; detection needs an iteration
+boundary, so a one-iteration run never fingerprints or fast-forwards.
+Fault-injected runs (:mod:`repro.faults`) never fast-forward either:
+each of their executors simulates one iteration, and
+:func:`~repro.faults.run_resilient` records the veto on
+``RunResult.steady`` and rejects ``force``.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ accounting, stragglers, link faults, memory pressure, daemon events."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import CapacityError, DeviceLostError
@@ -182,6 +184,38 @@ class TestDaemonEvents:
             )))
         assert exc.value.device == "gpu1"
         assert exc.value.at == pytest.approx(healthy.makespan / 2)
+
+    def test_partial_result_counts_only_finished_compute(self, workload):
+        """A loss struck mid-compute: the partial result reports each
+        GPU's finished compute from the trace, while the lost GPU's
+        compute stream also holds the task the loss cut short."""
+        topo, plan = workload
+        healthy = _run(topo, plan)
+        cut = [
+            e for e in healthy.trace.events
+            if e.device == "gpu1" and e.category == "compute"
+        ][1]
+        at = (cut.start + cut.end) / 2
+        executor = Executor(topo, plan, options=ExecOptions(
+            injector=FaultInjector(FaultPlan(seed=0, faults=(
+                DeviceLoss("gpu1", at=at),
+            ))),
+        ))
+        with pytest.raises(DeviceLostError):
+            executor.run()
+        partial = executor.partial_result()
+        for gpu in topo.gpus():
+            finished = math.fsum(
+                e.duration for e in partial.trace.events
+                if e.device == gpu.name and e.category == "compute"
+            )
+            assert partial.devices[gpu.name].compute_busy == pytest.approx(
+                finished, rel=1e-12
+            )
+        stream = executor.compute_streams["gpu1"].busy_seconds
+        lost = partial.devices["gpu1"].compute_busy
+        assert lost < stream
+        assert stream - lost == pytest.approx(cut.duration, rel=1e-9)
 
 
 class TestUtilizationUnclamped:

@@ -1,12 +1,11 @@
 """Fleet-scale guarantees: size-independent per-event cost, analytic
-collectives audited against the expanded per-hop model, rack-scale
-topologies with cached tree routing, and remote host-RAM swaps.
+collectives held to their closed form, rack-scale topologies with
+cached tree routing, and remote host-RAM swaps.
 
-The bit-identity tests are the load-bearing ones: the analytic
-collective layer replaced O(world) simulated ring hops with one
-closed-form event, and these tests hold it to *bitwise* equality with
-the expanded per-hop audit mode on small fleets, for every scheduler
-scheme in the registry.
+The closed-form tests are the load-bearing ones: the analytic
+collective layer replaced O(world) simulated ring hops with one timed
+event, and these tests recompute that event's window from the
+topology's routes and hold the transfer engine to it *bitwise*.
 """
 
 import time
@@ -18,10 +17,16 @@ from repro.core.session import HarmonySession
 from repro.errors import SimulationError
 from repro.hardware import presets
 from repro.hardware.presets import rack_cluster
+from repro.memory.manager import MemoryManager
+from repro.memory.policy import MemoryPolicy
 from repro.models import zoo
-from repro.schedulers import SCHEDULER_REGISTRY, BatchConfig, build_scheduler
+from repro.schedulers import BatchConfig, build_scheduler
 from repro.sim.collective import ring_collective
-from repro.sim.executor import ExecOptions, Executor
+from repro.sim.engine import Engine, ResourceTimeline
+from repro.sim.executor import Executor
+from repro.sim.trace import Trace
+from repro.sim.transfer import TransferEngine
+from repro.tensors.registry import TensorRegistry
 from repro.units import MB
 
 
@@ -62,55 +67,55 @@ class TestPerEventCost:
         assert per_dev256 == pytest.approx(per_dev64, rel=0.05)
 
 
-class TestAnalyticPerHopBitIdentity:
-    @pytest.mark.parametrize("scheme", sorted(SCHEDULER_REGISTRY))
-    def test_makespan_bit_identical(self, scheme):
-        """Every registry scheme: the analytic collective and the
-        expanded per-hop audit mode produce bitwise-equal makespans,
-        ledgers, and link busy-seconds on a small fleet."""
-        model = zoo.build("lenet")
-        topology = presets.commodity_server(num_gpus=4)
-        batch = BatchConfig(microbatch_size=1, num_microbatches=2)
-
-        def run(mode):
-            plan = build_scheduler(scheme, model, topology, batch).plan()
-            ex = Executor(
-                topology, plan, options=ExecOptions(collective_mode=mode)
-            )
-            return ex.run()
-
-        analytic = run("analytic")
-        per_hop = run("per-hop")
-        assert per_hop.makespan == analytic.makespan  # bitwise, no approx
-        assert dict(per_hop.stats._volume) == dict(analytic.stats._volume)
-        assert per_hop.link_busy == analytic.link_busy
-        # The expansion adds ring-round trace markers exactly when the
-        # schedule has multi-participant collectives — and nothing else.
-        extra = len(per_hop.trace.events) - len(analytic.trace.events)
-        has_collectives = any(
-            e.category == "allreduce" for e in analytic.trace.events
-        )
-        assert (extra > 0) == has_collectives
-
-    def test_round_markers_carry_zero_bytes(self):
-        model = zoo.build("lenet")
-        topology = presets.commodity_server(num_gpus=4)
-        plan = build_scheduler(
-            "harmony-dp", model, topology, BatchConfig(1, 2)
-        ).plan()
-        result = Executor(
-            topology, plan, options=ExecOptions(collective_mode="per-hop")
-        ).run()
-        markers = [
-            e for e in result.trace.events
-            if e.category == "p2p" and ".round" in e.label
+class TestClosedFormCollective:
+    @pytest.mark.parametrize(
+        "topo_factory, ring, tier",
+        [
+            (
+                lambda: presets.commodity_server(num_gpus=4),
+                ("gpu0", "gpu1", "gpu2", "gpu3"),
+                "pcie",
+            ),
+            (
+                lambda: rack_cluster(2, 2, 2),
+                ("r0s0g0", "r0s1g1", "r1s0g0", "r1s1g1"),
+                "rackup",
+            ),
+        ],
+        ids=["commodity-server", "cross-rack"],
+    )
+    def test_window_is_the_closed_form(self, topo_factory, ring, tier):
+        """One all-reduce is one event: the callback gets ``(0.0,
+        max hop latency + bytes / slowest hop bandwidth)`` bitwise, and
+        every link the ring's hops ride is busy for exactly that long;
+        no other link is touched."""
+        topology = topo_factory()
+        comm_bytes = 3 * MB
+        routes = [
+            topology.route(a, ring[(i + 1) % len(ring)])
+            for i, a in enumerate(ring)
         ]
-        assert markers, "per-hop mode produced no ring-round markers"
-        assert all(e.nbytes == 0 for e in markers)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            ExecOptions(collective_mode="magic")
+        duration = max(r.total_latency for r in routes) + comm_bytes / min(
+            r.bottleneck_bandwidth for r in routes
+        )
+        ring_links = {link.name for r in routes for link in r.links}
+        # The tier the ring must reach: switch-local PCIe in the server,
+        # the oversubscribed rack uplinks in the cluster.
+        assert any(name.startswith(tier) for name in ring_links)
+        registry = TensorRegistry(zoo.synthetic_uniform(num_layers=1), 1)
+        manager = MemoryManager(topology, registry, MemoryPolicy.harmony())
+        links = {name: ResourceTimeline(name) for name in topology.links}
+        engine = Engine()
+        transfers = TransferEngine(engine, topology, manager, Trace(), links)
+        windows = []
+        transfers.execute_allreduce(
+            ring, comm_bytes, lambda s, e: windows.append((s, e))
+        )
+        engine.run()
+        assert windows == [(0.0, duration)]
+        for name, timeline in links.items():
+            want = duration if name in ring_links else 0.0
+            assert timeline.busy_seconds == want, name
 
     def test_ring_needs_two_participants(self):
         topology = presets.commodity_server(num_gpus=4)

@@ -19,7 +19,7 @@ from repro.models import zoo
 from repro.schedulers import scheme_names
 from repro.schedulers.base import BatchConfig
 from repro.sim.engine import Engine, ResourceTimeline
-from repro.sim.executor import ExecOptions, Executor
+from repro.sim.executor import ExecOptions
 from repro.sim.trace import PeriodicSegment, Trace, TraceEvent
 from repro.steady import SteadyMode, fold_repeat, resolve_mode
 from repro.units import MB
@@ -154,10 +154,27 @@ class TestEquivalence:
         assert auto.trace.total_events() == len(off.trace.events)
         assert auto.trace.makespan() == off.trace.makespan()
 
-    def test_single_iteration_stays_on_legacy_path(self, model, server):
+    def test_single_iteration_does_no_steady_work(
+        self, model, server, monkeypatch
+    ):
+        """A one-iteration run takes the same loop but reaches no
+        iteration boundary: no fingerprint is taken, nothing is
+        skipped, and the trace stays flat."""
+        import repro.steady.cycle as cycle
+
+        calls = []
+        real = cycle.entry_fingerprint
+
+        def counting(executor):
+            calls.append(1)
+            return real(executor)
+
+        monkeypatch.setattr(cycle, "entry_fingerprint", counting)
         result = run(model, server, "harmony-pp", 1, "auto")
-        assert result.steady is None
+        assert result.steady.skipped == 0
+        assert result.steady.live_iterations == 1
         assert not result.trace.is_compressed
+        assert len(calls) == 0
 
 
 class TestFaultVeto:
@@ -200,18 +217,26 @@ class TestFaultVeto:
         with pytest.raises(ConfigError, match="force"):
             session.run()
 
-    def test_force_with_injector_rejected_by_executor(self, model, server):
-        plan = HarmonySession(
-            model, server, HarmonyConfig("harmony-dp")
-        ).plan()
-        with pytest.raises(SimulationError, match="force"):
-            Executor(
-                server, plan,
-                options=ExecOptions(
-                    iterations=3, steady_state="force",
-                    injector=FaultInjector(FaultPlan(seed=1)),
-                ),
-            )
+    def test_injector_needs_a_single_iteration(self):
+        # Fault daemons are armed in absolute time: an injected executor
+        # simulates one iteration, and run_resilient chains them.
+        with pytest.raises(SimulationError, match="one iteration"):
+            ExecOptions(injector=FaultInjector(FaultPlan(seed=1)), iterations=2)
+
+    def test_cli_faults_under_force_exits_one(self, capsys):
+        from repro.__main__ import main
+        from repro.steady import default_mode, set_default_mode
+
+        saved = default_mode()
+        try:
+            code = main([
+                "faults", "--steady-state", "force",
+                "--gpus", "2", "--iterations", "2", "--mttf", "4",
+            ])
+        finally:
+            set_default_mode(saved)
+        assert code == 1
+        assert "force" in capsys.readouterr().err
 
 
 class TestForceMode:
