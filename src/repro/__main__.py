@@ -506,14 +506,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
     failed: list = []
     if args.recovery:
         # MTTR x policy x scheme sweep on a fixed fault scenario.
-        rows = faults_degradation.run_recovery(
-            model=model,
-            num_gpus=args.gpus,
-            iterations=args.iterations,
-            seed=args.seed,
-            jobs=_jobs(args),
-        )
+        sup = _make_supervisor(args)
+        with _drain_scope(args, sup):
+            rows = faults_degradation.run_recovery(
+                model=model,
+                num_gpus=args.gpus,
+                iterations=args.iterations,
+                seed=args.seed,
+                supervisor=sup,
+            )
         print(faults_degradation.recovery_table(rows).render())
+        _print_report(args, sup)
         failed = [r for r in rows if not r.recovered]
         for row in failed:
             print(f"RECOVERY FAILED: {row.scheme} under {row.policy}")

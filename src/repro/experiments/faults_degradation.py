@@ -14,10 +14,7 @@ gracefully than their corresponding baseline under the same fault plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.faults.report import FaultReport
+from itertools import product
 
 from repro.core.config import HarmonyConfig
 from repro.faults.detection import DetectorConfig
@@ -73,12 +70,38 @@ def _iteration_time(
     return Executor(topology, plan, options=ExecOptions()).run().makespan
 
 
-def _run_cell(payload) -> "FaultReport":
-    """Worker for one (MTTF, scheme) cell (top-level for pickling);
-    only the fault report travels back to the parent."""
-    model, topology, config, plan, iterations = payload
-    result = run_resilient(model, topology, config, plan, iterations=iterations)
-    return result.faults
+def _cell_fingerprint(
+    model: ModelGraph, topology: Topology, config: HarmonyConfig
+) -> str:
+    """The run fingerprint a cell key starts from ("nokey" if none)."""
+    try:
+        return fingerprint(model, topology, config)
+    except FingerprintError:
+        return "nokey"
+
+
+def _run_cell(payload) -> DegradationRow:
+    """Worker for one (MTTF, scheme) cell (top-level for pickling).
+
+    The cell's :class:`~repro.faults.report.FaultReport` carries every
+    segment's trace, plan and topology, of which the sweep reads a few
+    numbers.  So the worker reduces the report to its row, and only the
+    row crosses the pipe and lands in the journal and the run cache."""
+    scheme, mttf, model, topology, config, plan, iterations = payload
+    report = run_resilient(
+        model, topology, config, plan, iterations=iterations
+    ).faults
+    return DegradationRow(
+        scheme=scheme,
+        mttf_iters=mttf,
+        losses=len(report.device_losses),
+        replans=report.replans,
+        iterations_redone=report.iterations_redone,
+        retried_gb=report.retried_bytes / GB,
+        goodput=report.goodput,
+        goodput_ratio=report.goodput_ratio,
+        recovered=report.recovered,
+    )
 
 
 def run(
@@ -98,10 +121,11 @@ def run(
     Every (MTTF, scheme) cell is an independent resilient run whose
     fault plan is fully determined by ``seed``, so the cells run as
     tasks on ``supervisor`` (default: a plain one over ``jobs``
-    workers); results come back in cell order, keeping the table
-    byte-identical to a serial sweep.  A durable supervisor journals
-    and watchdogs the cells, so an interrupted MTTF sweep resumes from
-    its last completed cell (the CLI's ``--journal``)."""
+    workers).  Each cell returns its row (:func:`_run_cell`) and the
+    rows come back in cell order, keeping the table byte-identical to
+    a serial sweep.  A durable supervisor journals and watchdogs the
+    cells, so an interrupted MTTF sweep resumes from its last
+    completed cell (the CLI's ``--journal``)."""
     model = model if model is not None else zoo.synthetic_uniform(num_layers=8)
     topology = presets.gtx1080ti_server(num_gpus=num_gpus)
     batch = batch if batch is not None else BatchConfig()
@@ -111,11 +135,8 @@ def run(
         for scheme in schemes
     }
 
-    cells: list[tuple[float, str]] = [
-        (mttf, scheme) for mttf in mttf_iters for scheme in schemes
-    ]
     tasks = []
-    for mttf, scheme in cells:
+    for mttf, scheme in product(mttf_iters, schemes):
         faults: tuple = ()
         if transient_probability > 0:
             faults = (
@@ -135,42 +156,25 @@ def run(
         else:
             plan = FaultPlan(seed=seed, faults=faults)
         config = HarmonyConfig(scheme, batch=batch)
-        try:
-            content = fingerprint(model, topology, config)
-        except FingerprintError:
-            content = "nokey"
         tasks.append(
             Task(
+                # "faults-row:" since cells return rows: a journal or run
+                # cache written when they returned FaultReports
+                # ("faults:") must not replay one into a row slot.
                 key=(
-                    f"faults:{content}:mttf={mttf:g}:iters={iterations}"
+                    f"faults-row:{_cell_fingerprint(model, topology, config)}"
+                    f":mttf={mttf:g}:iters={iterations}"
                     f":seed={seed}:tp={transient_probability:g}"
                 ),
                 fn=_run_cell,
-                payload=(model, topology, config, plan, iterations),
+                payload=(scheme, mttf, model, topology, config, plan, iterations),
                 label=f"{scheme}@mttf={mttf:g}",
                 cacheable=True,
             )
         )
     if supervisor is None:
         supervisor = Supervisor.plain(jobs)
-    reports = supervisor.run_tasks(tasks)
-
-    rows: list[DegradationRow] = []
-    for (mttf, scheme), report in zip(cells, reports):
-        rows.append(
-            DegradationRow(
-                scheme=scheme,
-                mttf_iters=mttf,
-                losses=len(report.device_losses),
-                replans=report.replans,
-                iterations_redone=report.iterations_redone,
-                retried_gb=report.retried_bytes / GB,
-                goodput=report.goodput,
-                goodput_ratio=report.goodput_ratio,
-                recovered=report.recovered,
-            )
-        )
-    return rows
+    return supervisor.run_tasks(tasks)
 
 
 def table(rows: list[DegradationRow] | None = None) -> Table:
@@ -228,13 +232,28 @@ def _percentile(values: list[float], q: float) -> float:
     return values[idx]
 
 
-def _run_recovery_cell(payload) -> "FaultReport":
-    """Worker for one (scheme, policy) cell."""
-    model, topology, config, plan, policy, iterations = payload
-    result = run_resilient(
+def _run_recovery_cell(payload) -> RecoveryRow:
+    """Worker for one (scheme, policy) cell: like :func:`_run_cell`, it
+    reduces the fault report to its row, so only the row travels back
+    to the parent."""
+    scheme, model, topology, config, plan, policy, iterations = payload
+    report = run_resilient(
         model, topology, config, plan, policy=policy, iterations=iterations
+    ).faults
+    mttrs = report.mttr_values()
+    return RecoveryRow(
+        scheme=scheme,
+        policy=policy.recovery,
+        losses=len(report.device_losses),
+        rejoins=report.rejoins,
+        spares_used=report.spares_used,
+        mttr_p50=_percentile(mttrs, 0.50),
+        mttr_p95=_percentile(mttrs, 0.95),
+        stall_seconds=report.stall_seconds,
+        goodput=report.goodput,
+        goodput_ratio=report.goodput_ratio,
+        recovered=report.recovered,
     )
-    return result.faults
 
 
 def run_recovery(
@@ -246,14 +265,19 @@ def run_recovery(
     seed: int = 1,
     batch: BatchConfig | None = None,
     jobs: int = 1,
+    supervisor: "Supervisor | None" = None,
 ) -> list[RecoveryRow]:
     """Cross every recovery policy with ``schemes`` on one *fixed* fault
     scenario — a mid-run device loss, a return inside the grace window,
     and one cold spare — so the policies differ only in what they do
     about it.  Detection runs the adaptive phi-accrual detector; the
     loss is timed per scheme in its own iteration times so every scheme
-    faces the same relative disruption.  Deterministic in ``seed``; the
-    cells run on a plain supervisor over ``jobs`` workers."""
+    faces the same relative disruption.  Deterministic in ``seed``.
+
+    As in :func:`run`, the cells run as tasks on ``supervisor``
+    (default: a plain one over ``jobs`` workers) and return their rows
+    in cell order; a durable supervisor journals them, so ``repro
+    faults --recovery --journal`` resumes like the MTTF sweep."""
     model = model if model is not None else zoo.synthetic_uniform(num_layers=8)
     topology = presets.gtx1080ti_server(num_gpus=num_gpus)
     batch = batch if batch is not None else BatchConfig()
@@ -264,11 +288,8 @@ def run_recovery(
     }
     victim = topology.gpus()[0].name
 
-    cells: list[tuple[str, str]] = [
-        (scheme, policy) for scheme in schemes for policy in policies
-    ]
     tasks = []
-    for scheme, policy_name in cells:
+    for scheme, policy_name in product(schemes, policies):
         t_iter = iter_time[scheme]
         plan = FaultPlan(seed=seed, faults=(
             DeviceLoss(victim, at=1.5 * t_iter),
@@ -287,33 +308,18 @@ def run_recovery(
         config = HarmonyConfig(scheme, batch=batch)
         tasks.append(
             Task(
-                key=f"recovery:{scheme}:{policy_name}",
+                key=(
+                    f"recovery-row:{_cell_fingerprint(model, topology, config)}"
+                    f":policy={policy_name}:iters={iterations}:seed={seed}"
+                ),
                 fn=_run_recovery_cell,
-                payload=(model, topology, config, plan, policy, iterations),
+                payload=(scheme, model, topology, config, plan, policy, iterations),
                 label=f"{scheme}@{policy_name}",
             )
         )
-    reports = Supervisor.plain(jobs).run_tasks(tasks)
-
-    rows: list[RecoveryRow] = []
-    for (scheme, policy_name), report in zip(cells, reports):
-        mttrs = report.mttr_values()
-        rows.append(
-            RecoveryRow(
-                scheme=scheme,
-                policy=policy_name,
-                losses=len(report.device_losses),
-                rejoins=report.rejoins,
-                spares_used=report.spares_used,
-                mttr_p50=_percentile(mttrs, 0.50),
-                mttr_p95=_percentile(mttrs, 0.95),
-                stall_seconds=report.stall_seconds,
-                goodput=report.goodput,
-                goodput_ratio=report.goodput_ratio,
-                recovered=report.recovered,
-            )
-        )
-    return rows
+    if supervisor is None:
+        supervisor = Supervisor.plain(jobs)
+    return supervisor.run_tasks(tasks)
 
 
 def recovery_table(rows: list[RecoveryRow] | None = None) -> Table:

@@ -197,3 +197,49 @@ class TestSupervisorCli:
         assert main(argv + ["--journal", journal]) == 0
         journaled = capsys.readouterr().out
         assert strip_supervisor(journaled) == plain
+
+    def test_faults_journal_holds_rows_not_reports(self, capsys, tmp_path):
+        # Cells return their rows, so a journaled record is a few
+        # hundred bytes; a FaultReport, which carries every segment's
+        # trace, takes up to 124 KB a record on this sweep.
+        import json
+
+        from repro.experiments.faults_degradation import DegradationRow
+        from repro.supervisor import DONE, load_journal
+
+        journal = tmp_path / "faults.jsonl"
+        argv = ["faults", "--iterations", "2", "--mttf", "inf", "2.5",
+                "--jobs", "2", "--journal", str(journal)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        outcomes = load_journal(journal).outcomes
+        done = 0
+        for line in journal.read_bytes().splitlines():
+            record = json.loads(line)
+            if record["type"] == "outcome" and record["status"] == DONE:
+                done += 1
+                assert len(line) <= 4096, record["key"]
+                row = outcomes[record["key"]].payload()
+                assert isinstance(row, DegradationRow)
+        assert done == 8  # 2 MTTFs x 4 schemes
+
+    def test_faults_recovery_journal_matches_plain_and_resumes(
+        self, capsys, tmp_path
+    ):
+        journal = tmp_path / "recovery.jsonl"
+        argv = ["faults", "--recovery", "--iterations", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--journal", str(journal)]) == 0
+        journaled = capsys.readouterr().out
+        assert journal.exists()
+        assert strip_supervisor(journaled) == plain
+        assert "supervisor:" in journaled
+        # Header plus two attempt/outcome pairs: a run killed after its
+        # second cell.
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:5]))
+        assert main(["resume", "--journal", str(journal)]) == 0
+        resumed = capsys.readouterr().out
+        assert strip_supervisor(resumed) == plain
+        assert "2 replayed from journal" in resumed

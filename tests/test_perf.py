@@ -359,6 +359,79 @@ class TestFaultsSweepParity:
             == faults_degradation.table(parallel).render()
         )
 
+    def test_parallel_recovery_rows_match_serial(self):
+        from repro.experiments import faults_degradation
+        from repro.supervisor import RetryPolicy
+
+        # What crosses the pipe from a recovery cell is its row.
+        crossed: list = []
+        sup = Supervisor(
+            jobs=2,
+            policy=RetryPolicy(max_attempts=1),
+            on_outcome=lambda i, outcome: crossed.append(outcome),
+        )
+        serial = faults_degradation.run_recovery(jobs=1, iterations=2)
+        parallel = faults_degradation.run_recovery(iterations=2, supervisor=sup)
+        assert len(crossed) == len(serial)
+        assert all(
+            isinstance(o, faults_degradation.RecoveryRow) for o in crossed
+        )
+        assert serial == parallel
+        assert (
+            faults_degradation.recovery_table(serial).render()
+            == faults_degradation.recovery_table(parallel).render()
+        )
+
+    def test_reports_under_the_pre_row_key_are_not_replayed(self, tmp_path):
+        # Before cells returned rows they returned FaultReports, keyed
+        # "faults:...".  A journal record or a run-cache entry of that
+        # era must miss: the cell runs again instead of a report
+        # landing in a row slot.
+        from repro.experiments import faults_degradation
+        from repro.faults import FaultPlan, FaultReport, ResiliencePolicy
+        from repro.supervisor import DONE, JournalWriter
+
+        model = zoo.synthetic_uniform(num_layers=8)
+        topology = presets.gtx1080ti_server(num_gpus=4)
+        mttf, iterations, seed, transient_probability = float("inf"), 2, 1, 0.02
+
+        def pre_row_key(scheme: str) -> str:
+            content = fingerprint(
+                model, topology, HarmonyConfig(scheme, batch=BatchConfig())
+            )
+            return (
+                f"faults:{content}:mttf={mttf:g}:iters={iterations}"
+                f":seed={seed}:tp={transient_probability:g}"
+            )
+
+        def report(scheme: str) -> FaultReport:
+            return FaultReport(
+                plan=FaultPlan(seed=seed),
+                policy=ResiliencePolicy.for_scheme(scheme),
+            )
+
+        journal = tmp_path / "pre-row.jsonl"
+        with JournalWriter(journal) as writer:
+            writer.header(None)
+            writer.outcome(pre_row_key("harmony-dp"), DONE, 1, report("harmony-dp"))
+        cache = RunCache()
+        cache.put(pre_row_key("dp-baseline"), report("dp-baseline"))
+
+        kwargs = dict(
+            model=model, iterations=iterations, mttf_iters=(mttf,),
+            seed=seed, transient_probability=transient_probability,
+        )
+        plain = faults_degradation.run(**kwargs)
+        sup = Supervisor(inline=True, journal=journal, cache=cache)
+        rows = faults_degradation.run(supervisor=sup, **kwargs)
+        assert sup.report.replayed == 0 and sup.report.cache_hits == 0
+        assert sup.report.executed == len(plain) == 4
+        assert rows == plain
+        assert (
+            faults_degradation.table(rows).render()
+            == faults_degradation.table(plain).render()
+        )
+
 
 class TestTunerCache:
     def workload(self):
