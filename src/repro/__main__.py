@@ -580,13 +580,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
             ResiliencePolicy.for_scheme(args.scheme),
             recovery=args.recovery_policy,
             grace_window=args.grace,
-            detection=(
-                # Interval pinned to the fault horizon, not the (model-
-                # dependent) iteration time, so the false-positive
-                # window is stable across workloads.
-                DetectorConfig(kind=args.detector, interval=mttf / 8.0)
-                if args.detector != "none" else None
-            ),
+            # Interval pinned to the fault horizon, not the (model-
+            # dependent) iteration time, so the false-positive window
+            # is stable across workloads.
+            detection=DetectorConfig(kind=args.detector, interval=mttf / 8.0),
         )
         result = run_resilient(
             model, server, config, plan,
@@ -862,9 +859,10 @@ def main(argv: list[str] | None = None) -> int:
         help="recovery policy for the --trace-out determinism run",
     )
     faults_p.add_argument(
-        "--detector", choices=("none",) + detector_names(), default="none",
-        help="failure detector for the --trace-out run (none = instant "
-             "detection, no heartbeats)",
+        "--detector", choices=detector_names(), default="none",
+        help="failure detector for the --trace-out run (none confirms a "
+             "loss the instant it strikes; the others detect it from "
+             "missed heartbeats)",
     )
     faults_p.add_argument(
         "--grace", type=float, default=0.0,

@@ -16,7 +16,6 @@ Everything replays byte-identically from the plan's seed.
 from repro.faults.detection import (
     DETECTOR_REGISTRY,
     DetectorConfig,
-    HeartbeatMonitor,
     SuspicionEpisode,
     build_detector,
     detection_latency,
@@ -59,7 +58,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultReport",
-    "HeartbeatMonitor",
     "IncidentReport",
     "LinkDegradation",
     "LinkFlap",

@@ -12,9 +12,13 @@ suspicion lifecycle::
     suspected --(heartbeat arrives)----> exonerated   (false positive)
     suspected --(confirm window passes)-> confirmed dead -> recovery
 
-Two detectors ship in :data:`DETECTOR_REGISTRY`, mirroring the
+Three detectors ship in :data:`DETECTOR_REGISTRY`, mirroring the
 scheduler zoo's registry discipline:
 
+``none``
+    The oracle: a loss is confirmed the instant it strikes.  No device
+    emits heartbeats, so nothing is ever suspected, and no timing is
+    derived.  ``ResiliencePolicy``'s default.
 ``fixed-timeout``
     Suspects after a constant silence (``timeout`` seconds).  Simple,
     but a straggler slower than ``timeout / interval`` false-positives
@@ -30,25 +34,16 @@ scheduler zoo's registry discipline:
 
 Everything here is a pure function of the :class:`FaultPlan` and the
 :class:`DetectorConfig`, so suspicion times replay byte-identically
-under the plan's seed.  The :class:`HeartbeatMonitor` additionally
-arms the emissions as *daemon* events on each segment's engine (they
-tick only while real work runs, like every other injected event), so
-heartbeats genuinely flow through the simulation and are ledgered in
-the :class:`~repro.faults.report.FaultReport`.
+under the plan's seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
-from repro.faults.model import FaultPlan
-
-if TYPE_CHECKING:
-    from repro.sim.engine import Engine
+from repro.faults.model import FaultPlan, straggler_factor
 
 
 @dataclass(frozen=True)
@@ -56,12 +51,14 @@ class DetectorConfig:
     """Heartbeat and detector knobs.
 
     Zero-valued timing fields mean "derive from the workload": the
-    resilient runner calls :meth:`resolve` with the fault-free
-    iteration time, which fills ``interval`` with a quarter iteration,
-    ``timeout`` with four intervals, and ``confirm`` with two — so one
-    config works across models without hand-tuning absolute seconds.
+    resilient runner builds its detector with the fault-free iteration
+    time, and a heartbeat detector :meth:`resolve`-s against it, which
+    fills ``interval`` with a quarter iteration, ``timeout`` with four
+    intervals, and ``confirm`` with two — so one config works across
+    models without hand-tuning absolute seconds.
     """
 
+    #: Name in :data:`DETECTOR_REGISTRY`.
     kind: str = "fixed-timeout"
     #: Heartbeat period, simulated seconds (0 -> iteration time / 4).
     interval: float = 0.0
@@ -113,26 +110,112 @@ class DetectorConfig:
         return self.interval > 0 and self.timeout > 0 and self.confirm > 0
 
 
-class FixedTimeoutDetector:
+class NoDetector:
+    """The oracle: every loss is confirmed the instant it strikes.
+
+    No device emits heartbeats, so nothing is scanned or suspected, and
+    the config's timing (resolved or not) is never read."""
+
+    name = "none"
+
+    def __init__(
+        self, config: DetectorConfig, iteration_time: float | None = None
+    ):
+        self.config = config
+
+    def death(
+        self, plan: FaultPlan, device: str, died_at: float
+    ) -> tuple[float, float]:
+        return died_at, died_at
+
+    def scan(
+        self, plan: FaultPlan, device: str, horizon: float
+    ) -> tuple[int, list["SuspicionEpisode"]]:
+        return 0, []
+
+
+class _HeartbeatDetector:
+    """Watches one device's heartbeat stream (:func:`heartbeat_times`);
+    subclasses choose the silence that triggers suspicion."""
+
+    name: str
+
+    def __init__(
+        self, config: DetectorConfig, iteration_time: float | None = None
+    ):
+        if iteration_time is not None:
+            config = config.resolve(iteration_time)
+        if not config.resolved:
+            raise ConfigError(
+                "DetectorConfig must be resolved (call resolve(iteration_time), "
+                "or pass the iteration time to build_detector)"
+            )
+        self.config = config
+
+    def threshold(self, gaps: list[float]) -> float:
+        """Silence after the last heartbeat that triggers suspicion,
+        given the gaps observed so far."""
+        raise NotImplementedError
+
+    def death(
+        self, plan: FaultPlan, device: str, died_at: float
+    ) -> tuple[float, float]:
+        """(suspected_at, confirmed_at) for a device that dies at global
+        ``died_at``: silence after the last pre-death heartbeat trips the
+        (possibly adapted) threshold, and the confirm window seals it."""
+        emissions = heartbeat_times(plan, device, died_at, self.config.interval)
+        gaps = [b - a for a, b in zip(emissions, emissions[1:])]
+        # Feed the detector only the gaps it had fully observed pre-death.
+        suspected = emissions[-1] + self.threshold(gaps)
+        return suspected, suspected + self.config.confirm
+
+    def scan(
+        self, plan: FaultPlan, device: str, horizon: float
+    ) -> tuple[int, list["SuspicionEpisode"]]:
+        """(heartbeats emitted, suspicion episodes) on ``device``'s
+        stream up to ``horizon``: every gap that exceeds the (possibly
+        adaptive) threshold opens an episode, exonerated when the next
+        heartbeat lands; a device that goes permanently silent gets a
+        trailing episode confirmed ``config.confirm`` after suspicion."""
+        died_at = min(
+            (l.at for l in plan.device_losses() if l.device == device),
+            default=math.inf,
+        )
+        emissions = heartbeat_times(plan, device, horizon, self.config.interval)
+        episodes: list[SuspicionEpisode] = []
+        gaps: list[float] = []
+        for prev, nxt in zip(emissions, emissions[1:]):
+            gap = nxt - prev
+            limit = self.threshold(gaps)
+            if gap > limit:
+                episodes.append(SuspicionEpisode(
+                    device, suspected_at=prev + limit, exonerated_at=nxt,
+                ))
+            # The stretched gap enters the history either way: this is the
+            # adaptation that stops phi-accrual re-suspecting a straggler.
+            gaps.append(gap)
+        if died_at < math.inf and died_at <= horizon:
+            suspected = emissions[-1] + self.threshold(gaps)
+            episodes.append(SuspicionEpisode(
+                device, suspected_at=suspected,
+                confirmed_at=suspected + self.config.confirm,
+            ))
+        return len(emissions), episodes
+
+
+class FixedTimeoutDetector(_HeartbeatDetector):
     """Suspect after a constant silence, however noisy the device."""
 
     name = "fixed-timeout"
 
-    def __init__(self, config: DetectorConfig):
-        self.config = config
-
     def threshold(self, gaps: list[float]) -> float:
-        """Silence after the last heartbeat that triggers suspicion."""
         return self.config.timeout
 
 
-class PhiAccrualDetector:
+class PhiAccrualDetector(_HeartbeatDetector):
     """Adaptive suspicion: threshold tracks the observed gap mean."""
 
     name = "phi-accrual"
-
-    def __init__(self, config: DetectorConfig):
-        self.config = config
 
     def threshold(self, gaps: list[float]) -> float:
         recent = gaps[-self.config.window:]
@@ -145,6 +228,7 @@ class PhiAccrualDetector:
 #: Detector name -> class.  Mirrors ``SCHEDULER_REGISTRY``: the CLI,
 #: docs table, and tests enumerate this instead of hardcoding names.
 DETECTOR_REGISTRY: dict[str, type] = {
+    NoDetector.name: NoDetector,
     FixedTimeoutDetector.name: FixedTimeoutDetector,
     PhiAccrualDetector.name: PhiAccrualDetector,
 }
@@ -154,32 +238,23 @@ def detector_names() -> tuple[str, ...]:
     return tuple(DETECTOR_REGISTRY)
 
 
-def build_detector(config: DetectorConfig):
+def build_detector(
+    config: DetectorConfig, iteration_time: float | None = None
+):
+    """The detector ``config.kind`` names.  Heartbeat detectors fill
+    unset timing from the fault-free ``iteration_time``
+    (:meth:`DetectorConfig.resolve`); without one, ``config`` must
+    already be resolved."""
     cls = DETECTOR_REGISTRY.get(config.kind)
     if cls is None:
         raise ConfigError(
             f"unknown detector {config.kind!r}; valid detectors: "
             + ", ".join(detector_names())
         )
-    if not config.resolved:
-        raise ConfigError(
-            "DetectorConfig must be resolved (call resolve(iteration_time)) "
-            "before building a detector"
-        )
-    return cls(config)
+    return cls(config, iteration_time)
 
 
 # -- the deterministic heartbeat stream ---------------------------------------
-
-
-def straggler_factor(plan: FaultPlan, device: str, t: float) -> float:
-    """Combined slowdown of every straggler window active on ``device``
-    at global time ``t`` (1.0 when healthy)."""
-    factor = 1.0
-    for s in plan.stragglers():
-        if s.device == device and s.active(t):
-            factor *= s.slowdown
-    return factor
 
 
 def heartbeat_times(
@@ -195,10 +270,11 @@ def heartbeat_times(
         (l.at for l in plan.device_losses() if l.device == device),
         default=math.inf,
     )
+    stragglers = [s for s in plan.stragglers() if s.device == device]
     times = [0.0]
     t = 0.0
     while True:
-        t += interval * straggler_factor(plan, device, t)
+        t += interval * straggler_factor(stragglers, t)
         if t >= died_at or t > horizon:
             break
         times.append(t)
@@ -224,113 +300,18 @@ class SuspicionEpisode:
 def scan_device(
     plan: FaultPlan, device: str, config: DetectorConfig, horizon: float
 ) -> list[SuspicionEpisode]:
-    """Run the detector over ``device``'s heartbeat stream up to
-    ``horizon``: every gap that exceeds the (possibly adaptive)
-    threshold opens a suspicion episode, exonerated when the next
-    heartbeat lands; a device that goes permanently silent gets a
-    trailing episode confirmed ``config.confirm`` after suspicion."""
-    detector = build_detector(config)
-    died_at = min(
-        (l.at for l in plan.device_losses() if l.device == device),
-        default=math.inf,
-    )
-    emissions = heartbeat_times(plan, device, horizon, config.interval)
-    episodes: list[SuspicionEpisode] = []
-    gaps: list[float] = []
-    for prev, nxt in zip(emissions, emissions[1:]):
-        gap = nxt - prev
-        limit = detector.threshold(gaps)
-        if gap > limit:
-            episodes.append(SuspicionEpisode(
-                device, suspected_at=prev + limit, exonerated_at=nxt,
-            ))
-        # The stretched gap enters the history either way: this is the
-        # adaptation that stops phi-accrual re-suspecting a straggler.
-        gaps.append(gap)
-    if died_at < math.inf and died_at <= horizon:
-        suspected = emissions[-1] + detector.threshold(gaps)
-        episodes.append(SuspicionEpisode(
-            device, suspected_at=suspected,
-            confirmed_at=suspected + config.confirm,
-        ))
-    return episodes
-
-
-def death_detection(
-    plan: FaultPlan, device: str, died_at: float, config: DetectorConfig
-) -> tuple[float, float]:
-    """(suspected_at, confirmed_at) for a device that dies at global
-    ``died_at``: silence after the last pre-death heartbeat trips the
-    (possibly adapted) threshold, and the confirm window seals it."""
-    detector = build_detector(config)
-    emissions = heartbeat_times(plan, device, died_at, config.interval)
-    gaps = [b - a for a, b in zip(emissions, emissions[1:])]
-    # Feed the detector only the gaps it had fully observed pre-death.
-    suspected = emissions[-1] + detector.threshold(gaps)
-    return suspected, suspected + config.confirm
+    """The suspicion episodes ``config``'s detector opens on ``device``
+    up to ``horizon`` (see ``scan`` on the detector classes)."""
+    return build_detector(config).scan(plan, device, horizon)[1]
 
 
 def detection_latency(
     plan: FaultPlan, device: str, died_at: float, config: DetectorConfig
 ) -> float:
     """Seconds between the physical loss and the detector *confirming*
-    it — what the scalar ``ResiliencePolicy.detection_delay`` becomes
-    once detection is simulated.  A device already under (false)
-    suspicion when it dies is confirmed faster, so the latency is
-    clamped at zero rather than going negative."""
-    _, confirmed = death_detection(plan, device, died_at, config)
+    it: the detection charge the resilient runner adds to
+    ``recovery_seconds`` (0 under ``none``).  A device already under
+    (false) suspicion when it dies is confirmed faster, so the latency
+    is clamped at zero rather than going negative."""
+    _, confirmed = build_detector(config).death(plan, device, died_at)
     return max(0.0, confirmed - died_at)
-
-
-# -- heartbeats as daemon engine events ---------------------------------------
-
-
-class HeartbeatMonitor:
-    """Arms per-device heartbeat emissions on each segment's engine.
-
-    Emissions are daemon events: they tick only while non-daemon work
-    remains, so a drained segment never idles waiting on heartbeats.
-    The monitor is a run-scoped ledger — ``observed`` accumulates
-    ``(device, global time)`` across every segment, and the shared
-    ``lost`` set (the resilient runner's) keeps dead devices silent in
-    later segments.  Decisions come from the pure scan above; the
-    monitor exists so the heartbeat traffic is *real* in the
-    simulation and auditable after it.
-    """
-
-    def __init__(
-        self, plan: FaultPlan, config: DetectorConfig, lost: set[str],
-    ):
-        if not config.resolved:
-            raise ConfigError(
-                "HeartbeatMonitor needs a resolved DetectorConfig"
-            )
-        self.plan = plan
-        self.config = config
-        self.lost = lost  # shared with the resilient runner, not copied
-        self.observed: list[tuple[str, float]] = []
-
-    def arm(
-        self, engine: "Engine", devices: Iterable[str], offset: float
-    ) -> None:
-        for device in sorted(devices):
-            if device in self.lost:
-                continue
-            self._schedule(engine, device, offset, 0.0)
-
-    def _schedule(
-        self, engine: "Engine", device: str, offset: float, local: float
-    ) -> None:
-        engine.at(local, partial(self._beat, engine, device, offset), daemon=True)
-
-    def _beat(self, engine: "Engine", device: str, offset: float) -> None:
-        # Each emission schedules a fresh partial for the next: a beat
-        # that re-queued itself would hold a reference to itself.
-        now_global = offset + engine.now
-        self.observed.append((device, now_global))
-        gap = self.config.interval * straggler_factor(
-            self.plan, device, now_global
-        )
-        engine.after(
-            gap, partial(self._beat, engine, device, offset), daemon=True
-        )

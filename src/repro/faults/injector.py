@@ -21,11 +21,10 @@ import random
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import DeviceLostError, FaultError
-from repro.faults.model import FaultPlan
+from repro.faults.model import FaultPlan, straggler_factor
 from repro.faults.resilience import ResiliencePolicy
 
 if TYPE_CHECKING:
-    from repro.faults.detection import HeartbeatMonitor
     from repro.hardware.topology import Route
     from repro.memory.allocator import DevicePool
     from repro.sim.engine import Engine
@@ -41,19 +40,17 @@ class FaultInjector:
         offset: float = 0.0,
         rng: random.Random | None = None,
         lost: Iterable[str] = (),
-        monitor: "HeartbeatMonitor | None" = None,
     ):
         self.plan = plan
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.offset = offset
         self.rng = rng if rng is not None else plan.rng()
-        #: Optional heartbeat monitor (failure detection); armed on the
-        #: segment's engine alongside the plan's discrete events.
-        self.monitor = monitor
         #: Devices already lost in earlier segments: their (consumed)
         #: loss events must not re-fire.
         self.lost = set(lost)
-        self._stragglers = plan.stragglers()
+        self._stragglers: dict[str, list] = {}
+        for straggler in plan.stragglers():
+            self._stragglers.setdefault(straggler.device, []).append(straggler)
         self._transients = plan.transient_errors()
         self._degradations: dict[str, list] = {}
         for deg in plan.link_degradations():
@@ -70,8 +67,6 @@ class FaultInjector:
         Everything is scheduled as a daemon event: if the segment's real
         work drains first, the fault simply never struck this segment.
         """
-        if self.monitor is not None:
-            self.monitor.arm(engine, pools.keys(), self.offset)
         for loss in self.plan.device_losses():
             if loss.device in self.lost or loss.device not in pools:
                 continue
@@ -109,12 +104,11 @@ class FaultInjector:
         """Straggler-adjusted duration for compute started at local
         ``now`` (the slowdown active at start applies to the whole
         task — simulated kernels do not migrate mid-flight)."""
-        t = self.offset + now
-        factor = 1.0
-        for s in self._stragglers:
-            if s.device == device and s.active(t):
-                factor *= s.slowdown
-        return base * factor
+        if device not in self._stragglers:
+            return base
+        return base * straggler_factor(
+            self._stragglers[device], self.offset + now
+        )
 
     # -- transfers ---------------------------------------------------------
 

@@ -180,6 +180,18 @@ class ComputeStraggler:
         return self.start <= t < self.end
 
 
+def straggler_factor(stragglers: Iterable[ComputeStraggler], t: float) -> float:
+    """Combined slowdown of the ``stragglers`` windows active at global
+    time ``t`` (1.0 when none is).  Callers pass one device's stragglers,
+    filtered once up front: the injector stretches each compute task by
+    it, the detector each heartbeat gap."""
+    factor = 1.0
+    for s in stragglers:
+        if s.active(t):
+            factor *= s.slowdown
+    return factor
+
+
 @dataclass(frozen=True)
 class MemoryPressure:
     """``fraction`` of ``device``'s capacity is unavailable in the window."""

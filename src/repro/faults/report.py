@@ -12,19 +12,17 @@ fault-free makespan.
 :class:`IncidentReport` is the per-incident ledger the detection and
 recovery layers fill: when a device was suspected, confirmed,
 exonerated (false positives), and recovered, and which policy acted —
-the raw material for the MTTR x policy x scheme tables.  The report
-and its incidents round-trip through ``to_json``/``from_json`` so
-serve jobs and supervisor journals can ledger them; the simulation
-artifacts (segment results, plans, topologies) deliberately do not
-serialize and come back ``None``.
+the raw material for the MTTR x policy x scheme tables.  Reports have
+no wire format of their own: what crosses a worker pipe or lands in a
+journal is pickled, and the fault sweeps reduce each report to its
+table row in the worker first.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.units import GB, fmt_time
 
 if TYPE_CHECKING:
@@ -76,8 +74,9 @@ class IncidentReport:
     #: Recovery-policy name that handled the confirmed loss.
     action: str | None = None
     false_positive: bool = False
-    #: Detector that produced the suspicion ("none" = instant/scalar
-    #: detection, no heartbeat machinery).
+    #: Name of the detector (:data:`~repro.faults.detection.
+    #: DETECTOR_REGISTRY`) behind the incident; ``"none"`` confirms a
+    #: loss the instant it strikes.
     detector: str = "none"
 
     @property
@@ -126,8 +125,8 @@ class FaultReport:
     rejoins: int = 0
     #: Cold standbys substituted in for dead devices.
     spares_used: int = 0
-    #: Heartbeat emissions that actually ticked through segment engines
-    #: (daemon events) — the monitor's ledger, 0 without detection.
+    #: Heartbeat emissions the detector scanned: every initial GPU's
+    #: stream up to ``total_makespan``, 0 under the ``none`` detector.
     heartbeats_observed: int = 0
     #: Makespan of the same config with no faults injected.
     fault_free_makespan: float = 0.0
@@ -219,149 +218,3 @@ class FaultReport:
                 f"t={inc.exonerated_at:.4g}s ({inc.detector})"
             )
         return "\n".join(lines)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        """JSON-able ledger of the run: plan, policy, incidents, and
-        every accounting scalar.  Segments serialize as summaries (the
-        result/plan/topology artifacts stay in-process)."""
-        return {
-            "schema": 1,
-            "plan": _plan_to_json(self.plan),
-            "policy": _policy_to_json(self.policy),
-            "segments": [
-                {
-                    "index": s.index,
-                    "iteration": s.iteration,
-                    "started_at": s.started_at,
-                    "duration": s.duration,
-                    "aborted": s.aborted,
-                    "lost_device": s.lost_device,
-                }
-                for s in self.segments
-            ],
-            "device_losses": [[dev, t] for dev, t in self.device_losses],
-            "incidents": [asdict(i) for i in self.incidents],
-            "replans": self.replans,
-            "iterations_redone": self.iterations_redone,
-            "lost_wall_seconds": self.lost_wall_seconds,
-            "lost_compute_seconds": self.lost_compute_seconds,
-            "retried_bytes": self.retried_bytes,
-            "retry_events": self.retry_events,
-            "checkpoints": self.checkpoints,
-            "checkpoint_seconds": self.checkpoint_seconds,
-            "recovery_seconds": self.recovery_seconds,
-            "stall_seconds": self.stall_seconds,
-            "rejoins": self.rejoins,
-            "spares_used": self.spares_used,
-            "heartbeats_observed": self.heartbeats_observed,
-            "fault_free_makespan": self.fault_free_makespan,
-            "total_makespan": self.total_makespan,
-            "samples": self.samples,
-            "fault_free_samples": self.fault_free_samples,
-            "recovered": self.recovered,
-            "failure_reason": self.failure_reason,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FaultReport":
-        """Rebuild the ledger from :meth:`to_json` output.  Plan,
-        policy, and incidents come back as real (equal) objects;
-        segment summaries come back as :class:`SegmentReport` with
-        ``result``/``plan``/``topology`` set to ``None``."""
-        if doc.get("schema") != 1:
-            raise ConfigError(
-                f"unsupported FaultReport schema {doc.get('schema')!r}"
-            )
-        report = cls(
-            plan=_plan_from_json(doc["plan"]),
-            policy=_policy_from_json(doc["policy"]),
-            segments=[
-                SegmentReport(
-                    index=s["index"],
-                    iteration=s["iteration"],
-                    result=None,
-                    plan=None,
-                    topology=None,
-                    started_at=s["started_at"],
-                    duration=s["duration"],
-                    aborted=s["aborted"],
-                    lost_device=s["lost_device"],
-                )
-                for s in doc["segments"]
-            ],
-            device_losses=[(dev, t) for dev, t in doc["device_losses"]],
-            incidents=[IncidentReport(**i) for i in doc["incidents"]],
-        )
-        for key in (
-            "replans", "iterations_redone", "lost_wall_seconds",
-            "lost_compute_seconds", "retried_bytes", "retry_events",
-            "checkpoints", "checkpoint_seconds", "recovery_seconds",
-            "stall_seconds", "rejoins", "spares_used",
-            "heartbeats_observed", "fault_free_makespan",
-            "total_makespan", "samples", "fault_free_samples",
-            "recovered", "failure_reason",
-        ):
-            setattr(report, key, doc[key])
-        return report
-
-
-# -- plan / policy codecs -----------------------------------------------------
-
-
-def _fault_types() -> dict[str, type]:
-    from repro.faults import model
-
-    return {
-        cls.__name__: cls
-        for cls in (
-            model.DeviceLoss, model.DeviceReturn, model.SpareDevice,
-            model.LinkDegradation, model.LinkFlap,
-            model.TransientTransferError, model.ComputeStraggler,
-            model.MemoryPressure,
-        )
-    }
-
-
-def _plan_to_json(plan: "FaultPlan") -> dict:
-    return {
-        "seed": plan.seed,
-        "faults": [
-            {"type": type(f).__name__, **asdict(f)} for f in plan.faults
-        ],
-    }
-
-
-def _plan_from_json(doc: dict) -> "FaultPlan":
-    from repro.faults.model import FaultPlan
-
-    types = _fault_types()
-    faults = []
-    for entry in doc["faults"]:
-        entry = dict(entry)
-        name = entry.pop("type")
-        cls = types.get(name)
-        if cls is None:
-            raise ConfigError(
-                f"unknown fault type {name!r}; known types: "
-                + ", ".join(sorted(types))
-            )
-        faults.append(cls(**entry))
-    return FaultPlan(seed=doc["seed"], faults=tuple(faults))
-
-
-def _policy_to_json(policy: "ResiliencePolicy") -> dict:
-    return asdict(policy)  # nests DetectorConfig as a plain dict
-
-
-def _policy_from_json(doc: dict) -> "ResiliencePolicy":
-    from repro.faults.detection import DetectorConfig
-    from repro.faults.resilience import ResiliencePolicy
-
-    doc = dict(doc)
-    detection = doc.pop("detection", None)
-    return ResiliencePolicy(
-        detection=DetectorConfig(**detection) if detection else None,
-        **doc,
-    )

@@ -56,15 +56,13 @@ class ResiliencePolicy:
         On restart, reload only the lost device's share of the training
         state (True: Harmony — survivors keep their resident state)
         or the full state (False: baselines restart cold).
-    detection_delay:
-        Seconds between the loss and the runtime noticing it — the
-        legacy scalar, used only when ``detection`` is ``None``.
     detection:
-        Simulated failure detection (:class:`~repro.faults.detection.
-        DetectorConfig`): heartbeats, suspicion, and confirmation
-        replace the scalar delay, and straggler-induced false
-        positives become observable.  ``None`` keeps instant (or
-        scalar-delayed) detection and byte-identical legacy replays.
+        Failure detection (:class:`~repro.faults.detection.
+        DetectorConfig`): when the run learns of a loss.  The default
+        ``none`` detector confirms a loss the instant it strikes; the
+        heartbeat detectors suspect and confirm silent devices after a
+        simulated latency, and make straggler-induced false positives
+        observable.
     recovery:
         Name in :data:`~repro.faults.recovery.RECOVERY_REGISTRY`
         choosing what world to recover onto (restart-replan,
@@ -83,8 +81,7 @@ class ResiliencePolicy:
     checkpoint_every: int = 1
     checkpoint_usable_after_loss: bool = True
     partial_reload: bool = True
-    detection_delay: float = 0.0
-    detection: DetectorConfig | None = None
+    detection: DetectorConfig = DetectorConfig(kind="none")
     recovery: str = "restart-replan"
     grace_window: float = 0.0
     spare_attach_seconds: float = 0.0
@@ -98,8 +95,12 @@ class ResiliencePolicy:
             raise ConfigError("backoff_factor must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
-        if self.detection_delay < 0:
-            raise ConfigError("detection_delay must be >= 0")
+        if not isinstance(self.detection, DetectorConfig):
+            raise ConfigError(
+                f"ResiliencePolicy.detection must be a DetectorConfig, got "
+                f"{self.detection!r}; DetectorConfig(kind='none') confirms "
+                f"a loss the instant it strikes"
+            )
         if self.grace_window < 0:
             raise ConfigError("grace_window must be >= 0")
         if self.spare_attach_seconds < 0:

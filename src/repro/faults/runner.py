@@ -15,10 +15,10 @@ DeviceLostError` escapes a segment, the runner
 
 1. collects the aborted segment's partial result and accounts the lost
    wall/compute time,
-2. charges *detection*: either the legacy scalar
-   ``policy.detection_delay``, or — with ``policy.detection`` set —
-   the simulated heartbeat detector's suspicion + confirmation time
-   (see :mod:`repro.faults.detection`), recorded per incident,
+2. charges *detection*: the time the ``policy.detection`` detector
+   takes to confirm the loss (:mod:`repro.faults.detection`; zero for
+   the default ``none``, the heartbeat detectors' suspicion +
+   confirmation otherwise), recorded per incident,
 3. dispatches the confirmed loss to the configured **recovery policy**
    (:data:`~repro.faults.recovery.RECOVERY_REGISTRY`): shrink onto the
    survivors and re-plan (``restart-replan``/``degrade-continue``),
@@ -34,9 +34,11 @@ DeviceLostError` escapes a segment, the runner
 
 :class:`~repro.faults.model.DeviceReturn` events come due between
 segments: elastic policies grow the world back (one more re-plan and a
-shard reload); ``degrade-continue`` ignores them.  Straggler-induced
-false-positive suspicions are scanned after the run and ledgered in
-``report.incidents`` with ``false_positive=True``.
+shard reload); ``degrade-continue`` ignores them.  After the run the
+detector scans every initial GPU's heartbeat stream: straggler-induced
+false-positive suspicions are ledgered in ``report.incidents`` with
+``false_positive=True``, and the emissions scanned are counted in
+``report.heartbeats_observed``.
 
 The returned :class:`~repro.sim.result.RunResult` aggregates the whole
 run (makespan, credited samples) and carries the report in ``.faults``.
@@ -59,12 +61,7 @@ from repro.errors import (
     SchedulingError,
     TopologyError,
 )
-from repro.faults.detection import (
-    DetectorConfig,
-    HeartbeatMonitor,
-    death_detection,
-    scan_device,
-)
+from repro.faults.detection import build_detector
 from repro.faults.injector import FaultInjector
 from repro.faults.model import DeviceLoss, DeviceReturn, FaultPlan, SpareDevice
 from repro.faults.recovery import build_recovery
@@ -141,8 +138,7 @@ class _ResilientRun:
         self.pending_returns: list[DeviceReturn] = fault_plan.device_returns()
         self.spares: list[SpareDevice] = fault_plan.spare_devices()
         self.recovery = build_recovery(self.policy.recovery)
-        self.detector_config: DetectorConfig | None = None
-        self.monitor: HeartbeatMonitor | None = None
+        self.detector = None  # built by fault_free_reference()
         self.offset = 0.0           # global wall-clock
         self.completed = 0          # credited iterations
         self.since_ckpt = 0         # credited since the last checkpoint
@@ -163,7 +159,7 @@ class _ResilientRun:
     def fault_free_reference(self) -> None:
         """One healthy iteration on the full topology; its plan seeds the
         first segment, its makespan anchors the goodput ratio and the
-        heartbeat timing defaults."""
+        detector's heartbeat timing defaults."""
         self.plan = self.build_plan()
         healthy = Executor(
             self.topo, self.plan, cost_model=self.config.cost_model,
@@ -172,13 +168,7 @@ class _ResilientRun:
         self.report.fault_free_makespan = healthy.makespan * self.iterations
         self.report.fault_free_samples = healthy.samples * self.iterations
         self.last_result = healthy
-        if self.policy.detection is not None:
-            self.detector_config = self.policy.detection.resolve(
-                healthy.makespan
-            )
-            self.monitor = HeartbeatMonitor(
-                self.fault_plan, self.detector_config, self.lost
-            )
+        self.detector = build_detector(self.policy.detection, healthy.makespan)
 
     def fail(self, reason: str) -> None:
         self.report.recovered = False
@@ -353,23 +343,16 @@ class _ResilientRun:
                 break
         self.report.device_losses.append((device, at_global))
         self.lost.add(device)
-        incident = IncidentReport(
-            device=device, kind="loss",
-            occurred_at=at_global, suspected_at=at_global,
+        suspected, confirmed = self.detector.death(
+            self.fault_plan, device, at_global
         )
-        if self.detector_config is not None:
-            suspected, confirmed = death_detection(
-                self.fault_plan, device, at_global, self.detector_config
-            )
-            incident.suspected_at = suspected
-            incident.confirmed_at = confirmed
-            incident.detector = self.detector_config.kind
-            latency = max(0.0, confirmed - at_global)
-        else:
-            latency = self.policy.detection_delay
-            incident.confirmed_at = at_global + latency
+        incident = IncidentReport(
+            device=device, kind="loss", occurred_at=at_global,
+            suspected_at=suspected, confirmed_at=confirmed,
+            detector=self.detector.name,
+        )
         self.report.incidents.append(incident)
-        self.charge_recovery(latency)
+        self.charge_recovery(max(0.0, confirmed - at_global))
         if not self.recovery.on_loss(self, device, at_global):
             return False
         incident.recovered_at = self.offset
@@ -414,7 +397,6 @@ class _ResilientRun:
         injector = FaultInjector(
             self.fault_plan, self.policy,
             offset=self.offset, rng=self.rng, lost=self.lost,
-            monitor=self.monitor,
         )
         executor = Executor(
             self.topo, self.plan, cost_model=self.config.cost_model,
@@ -470,17 +452,19 @@ class _ResilientRun:
         return True
 
     def collect_suspicions(self) -> None:
-        """Post-run scan for detector episodes that never confirmed —
-        the straggler-induced false positives.  Confirmed deaths were
-        already ledgered by :meth:`strike` (same pure functions, same
-        times), so only exonerated episodes are added here."""
-        if self.detector_config is None:
-            return
+        """Post-run scan of every initial GPU's heartbeat stream up to
+        the run's end: counts the emissions scanned, and ledgers the
+        episodes that never confirmed — the straggler-induced false
+        positives.  Confirmed deaths were already ledgered by
+        :meth:`strike` (same pure functions, same times), so only
+        exonerated episodes are added here."""
         horizon = self.report.total_makespan
         for gpu in self.initial_topo.gpus():
-            for ep in scan_device(
-                self.fault_plan, gpu.name, self.detector_config, horizon
-            ):
+            beats, episodes = self.detector.scan(
+                self.fault_plan, gpu.name, horizon
+            )
+            self.report.heartbeats_observed += beats
+            for ep in episodes:
                 if not ep.false_positive:
                     continue
                 self.report.incidents.append(IncidentReport(
@@ -489,7 +473,7 @@ class _ResilientRun:
                     suspected_at=ep.suspected_at,
                     exonerated_at=ep.exonerated_at,
                     false_positive=True,
-                    detector=self.detector_config.kind,
+                    detector=self.detector.name,
                 ))
 
     def execute(self) -> RunResult:
@@ -515,8 +499,6 @@ class _ResilientRun:
 
         self.report.total_makespan = self.offset
         self.report.samples = sum(s for s, _, _ in self.credited)
-        if self.monitor is not None:
-            self.report.heartbeats_observed = len(self.monitor.observed)
         self.collect_suspicions()
         self.report.incidents.sort(key=lambda i: (i.suspected_at, i.device))
         result = replace(

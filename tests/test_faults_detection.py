@@ -1,8 +1,8 @@
-"""Failure detection: the heartbeat stream, both detectors in
-DETECTOR_REGISTRY, straggler-induced false positives (deterministic
+"""Failure detection: the heartbeat stream, every detector in
+DETECTOR_REGISTRY (the ``none`` oracle and the two heartbeat
+detectors), straggler-induced false positives (deterministic
 suspicion -> exoneration under the plan's seed, adaptation under
-phi-accrual), death confirmation latency, and the heartbeat monitor's
-daemon events ticking through a real engine."""
+phi-accrual), and death confirmation latency."""
 
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ from repro.faults import (
     DetectorConfig,
     DeviceLoss,
     FaultPlan,
-    HeartbeatMonitor,
+    ResiliencePolicy,
     build_detector,
     detection_latency,
     detector_names,
     heartbeat_times,
     scan_device,
 )
-from repro.sim.engine import Engine
 
 
 def cfg(kind="fixed-timeout", **kw) -> DetectorConfig:
@@ -55,13 +54,18 @@ class TestDetectorConfig:
             DetectorConfig().resolve(0.0)
 
     def test_registry_mirrors_scheduler_discipline(self):
-        assert detector_names() == ("fixed-timeout", "phi-accrual")
+        assert detector_names() == ("none", "fixed-timeout", "phi-accrual")
         for name in detector_names():
             assert DETECTOR_REGISTRY[name].name == name
         with pytest.raises(ConfigError, match="valid detectors"):
             build_detector(cfg(kind="nope"))
         with pytest.raises(ConfigError, match="resolve"):
             build_detector(DetectorConfig())  # unresolved
+
+    def test_policy_detection_is_always_a_detector_config(self):
+        assert ResiliencePolicy().detection == DetectorConfig(kind="none")
+        with pytest.raises(ConfigError, match="kind='none'"):
+            ResiliencePolicy(detection=None)
 
 
 class TestHeartbeatStream:
@@ -156,27 +160,16 @@ class TestDeathConfirmation:
         assert detection_latency(plan, "gpu0", 40.0, cfg("fixed-timeout")) == 0.0
 
 
-class TestHeartbeatMonitor:
-    def test_daemon_beats_tick_while_work_runs(self):
-        config = cfg()
-        monitor = HeartbeatMonitor(FaultPlan(seed=0), config, lost=set())
-        engine = Engine()
-        engine.after(3.5, lambda: None)  # non-daemon work keeps it alive
-        monitor.arm(engine, ["gpu0", "gpu1"], offset=10.0)
-        engine.run()
-        # Beats at local 0,1,2,3 per device, ledgered in global time.
-        gpu0 = [t for dev, t in monitor.observed if dev == "gpu0"]
-        assert gpu0 == pytest.approx([10.0, 11.0, 12.0, 13.0])
-        assert len(monitor.observed) == 8
-
-    def test_lost_devices_stay_silent(self):
-        monitor = HeartbeatMonitor(FaultPlan(seed=0), cfg(), lost={"gpu0"})
-        engine = Engine()
-        engine.after(2.0, lambda: None)
-        monitor.arm(engine, ["gpu0", "gpu1"], offset=0.0)
-        engine.run()
-        assert all(dev == "gpu1" for dev, _ in monitor.observed)
-
-    def test_requires_resolved_config(self):
-        with pytest.raises(ConfigError, match="resolved"):
-            HeartbeatMonitor(FaultPlan(seed=0), DetectorConfig(), lost=set())
+class TestNoneDetector:
+    def test_confirms_a_loss_the_instant_it_strikes(self):
+        plan = FaultPlan(seed=0, faults=(
+            ComputeStraggler("gpu0", slowdown=50.0, start=1.5, end=60.0),
+            DeviceLoss("gpu0", at=40.0),
+        ))
+        # No heartbeats, so no timing to derive: a zero iteration time
+        # (which no heartbeat detector can resolve against) still builds.
+        detector = build_detector(DetectorConfig(kind="none"), 0.0)
+        assert detector.death(plan, "gpu0", 40.0) == (40.0, 40.0)
+        assert detector.scan(plan, "gpu0", 100.0) == (0, [])
+        none = DetectorConfig(kind="none")
+        assert detection_latency(plan, "gpu0", 40.0, none) == 0.0

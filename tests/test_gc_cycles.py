@@ -102,7 +102,8 @@ def test_resilient_run_with_device_loss_leaves_no_cycles(model):
 
     def scenario():
         report = HarmonySession(model, server, config).run().faults
-        # The loss aborted a segment mid-flight and heartbeats ran.
+        # The loss aborted a segment mid-flight and was detected from
+        # missed heartbeats.
         assert report.recovered and report.replans == 1
         assert any(s.aborted for s in report.segments)
         assert report.retry_events > 0
