@@ -48,17 +48,19 @@ Sweep-shaped commands (``figures``, ``compare``, ``tune``, ``faults``,
 ``bench``) accept ``--jobs N`` to fan independent simulations out over
 the supervisor's worker pool; output is byte-identical to ``--jobs 1``
 because results always come back in submission order.
-``compare``/``tune``/``bench`` also accept ``--cache-dir``/``--no-cache``
-to control the content-addressed run cache (see ``docs/INTERNALS.md``,
+``compare``/``tune`` also accept ``--cache-dir``/``--no-cache`` to
+control the content-addressed run cache (see ``docs/INTERNALS.md``,
 Performance).
 
-The same commands accept ``--steady-state {auto,off,force}``: ``auto``
-(the default) detects when an iteration replays its predecessor
-bit-for-bit and fast-forwards the remaining iterations analytically
-(``repro.steady``), ``off`` simulates every iteration in full
-fidelity, and ``force`` errors unless the fast path engaged.  Results
-are identical either way; only wall-clock changes.  ``compare`` also
-accepts ``--iterations N`` to size multi-iteration runs.
+``compare``, ``tune`` and ``faults`` accept ``--steady-state
+{auto,off,force}``: ``auto`` (the default) detects when an iteration
+replays its predecessor bit-for-bit and fast-forwards the remaining
+iterations analytically (``repro.steady``), ``off`` simulates every
+iteration in full fidelity, and ``force`` errors unless the fast path
+engaged.  Results are identical either way, except that a
+fast-forwarded run's ``memory_profile`` samples only its live
+iterations.  ``compare`` also accepts ``--iterations N`` to size
+multi-iteration runs.
 
 The same sweep-shaped commands accept ``--journal PATH`` to run under
 the crash-safe supervisor (``repro.supervisor``): every spec outcome
@@ -490,7 +492,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         DetectorConfig,
         ResiliencePolicy,
         SpareDevice,
-        mttf_loss_plan,
         run_resilient,
     )
     from repro.validate import audit_resilient
@@ -551,13 +552,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     if args.trace_out:
         # One seeded faulty run, dumped deterministically for the CI
-        # determinism diff.  --recovery-policy/--detector/--straggler/
-        # --spares/--grace shape this run only, so CI can byte-diff a
-        # false-positive suspicion case too.
+        # determinism diff, on a degradation cell's fault plan (MTTF
+        # and horizon in the scheme's fault-free iteration times).
+        # --recovery-policy/--detector/--straggler/--spares/--grace
+        # shape this run only, so CI can byte-diff a false-positive
+        # suspicion case too.
         server = presets.gtx1080ti_server(num_gpus=args.gpus)
-        finite = [m for m in mttfs if m != float("inf")]
-        mttf = min(finite) if finite else 2.5
         config = HarmonyConfig(args.scheme)
+        iter_time = faults_degradation.iteration_time(
+            args.scheme, model, server, config.batch
+        )
+        finite = [m for m in mttfs if m != float("inf")]
+        mttf_iters = min(finite) if finite else 2.5
+        mttf = mttf_iters * iter_time  # seconds to the first loss
         extra: list = [SpareDevice(f"spare{i}") for i in range(args.spares)]
         if args.straggler:
             # Throttle the last GPU from the start.  With the heartbeat
@@ -569,20 +576,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 server.gpus()[-1].name, slowdown=args.straggler,
                 start=0.0, end=0.5 * mttf,
             ))
-        plan = mttf_loss_plan(
-            [g.name for g in server.gpus()],
-            mttf=mttf,  # absolute seconds here; fine for a replay check
-            horizon=mttf * args.iterations,
-            seed=args.seed,
-            extra=tuple(extra),
+        plan = faults_degradation.mttf_plan(
+            server, mttf_iters, iter_time, args.iterations, args.seed,
+            tuple(extra),
         )
         policy = dc_replace(
             ResiliencePolicy.for_scheme(args.scheme),
             recovery=args.recovery_policy,
             grace_window=args.grace,
-            # Interval pinned to the fault horizon, not the (model-
-            # dependent) iteration time, so the false-positive window
-            # is stable across workloads.
+            # Interval pinned to an eighth of the time to the first
+            # loss, so the straggler's false-positive window is the same
+            # share of it on every workload.
             detection=DetectorConfig(kind=args.detector, interval=mttf / 8.0),
         )
         result = run_resilient(
@@ -595,6 +599,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
             return 1
         _dump_resilient_trace(result, args.trace_out)
         print(f"\nwrote deterministic trace to {args.trace_out}")
+        if not result.faults.recovered:
+            print("RECOVERY FAILED: the --trace-out run")
+            return 1
 
     return 1 if failed else 0
 
@@ -744,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     sub.add_parser(
-        "figures", parents=[jobs_parent, journal_parent, steady_parent],
+        "figures", parents=[jobs_parent, journal_parent],
         help="regenerate every paper figure",
     )
     sub.add_parser("zoo", help="list the model zoo (Fig. 1 data)")
@@ -879,8 +886,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     bench_p = sub.add_parser(
-        "bench",
-        parents=[jobs_parent, cache_parent, journal_parent, steady_parent],
+        "bench", parents=[jobs_parent, journal_parent],
         help="benchmark the simulator (events/sec, cache, sweep scaling)",
     )
     bench_p.add_argument(
@@ -976,8 +982,8 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = raw_argv
     if hasattr(args, "steady_state"):
         # Process-wide default so experiment code that builds configs
-        # internally (figures, faults sweeps) honors the flag; configs
-        # that set steady_state explicitly (compare) still win.
+        # internally (faults sweeps) honors the flag; configs that set
+        # steady_state explicitly (compare) still win.
         from repro.steady import set_default_mode
 
         set_default_mode(args.steady_state or "auto")

@@ -63,11 +63,32 @@ class DegradationRow:
     recovered: bool
 
 
-def _iteration_time(
+def iteration_time(
     scheme: str, model: ModelGraph, topology: Topology, batch: BatchConfig
 ) -> float:
+    """The scheme's fault-free iteration time: the unit of a cell's MTTF."""
     plan = build_scheduler(scheme, model, topology, batch).plan()
     return Executor(topology, plan, options=ExecOptions()).run().makespan
+
+
+def mttf_plan(
+    topology: Topology, mttf_iters: float, iter_time: float, iterations: int,
+    seed: int, extra: tuple = (),
+) -> FaultPlan:
+    """One cell's fault plan: device losses every ``mttf_iters``
+    fault-free iteration times (``iter_time`` each) over a horizon of
+    ``iterations`` of them, plus ``extra``; no loss at an infinite
+    MTTF.  Measuring both in the scheme's own iteration time gives
+    every scheme proportionally equal fault pressure."""
+    if mttf_iters == float("inf"):
+        return FaultPlan(seed=seed, faults=extra)
+    return mttf_loss_plan(
+        [g.name for g in topology.gpus()],
+        mttf=mttf_iters * iter_time,
+        horizon=iter_time * iterations,
+        seed=seed,
+        extra=extra,
+    )
 
 
 def _cell_fingerprint(
@@ -131,7 +152,7 @@ def run(
     batch = batch if batch is not None else BatchConfig()
     schemes = [s for pair in SCHEME_PAIRS for s in pair]
     iter_time = {
-        scheme: _iteration_time(scheme, model, topology, batch)
+        scheme: iteration_time(scheme, model, topology, batch)
         for scheme in schemes
     }
 
@@ -142,19 +163,9 @@ def run(
             faults = (
                 TransientTransferError(probability=transient_probability),
             )
-        if mttf != float("inf"):
-            # MTTF measured in this scheme's own iteration times, so
-            # every scheme faces proportionally equal fault pressure.
-            horizon = iter_time[scheme] * iterations
-            plan = mttf_loss_plan(
-                [g.name for g in topology.gpus()],
-                mttf=mttf * iter_time[scheme],
-                horizon=horizon,
-                seed=seed,
-                extra=faults,
-            )
-        else:
-            plan = FaultPlan(seed=seed, faults=faults)
+        plan = mttf_plan(
+            topology, mttf, iter_time[scheme], iterations, seed, faults
+        )
         config = HarmonyConfig(scheme, batch=batch)
         tasks.append(
             Task(
@@ -283,7 +294,7 @@ def run_recovery(
     batch = batch if batch is not None else BatchConfig()
     policies = policies if policies is not None else recovery_names()
     iter_time = {
-        scheme: _iteration_time(scheme, model, topology, batch)
+        scheme: iteration_time(scheme, model, topology, batch)
         for scheme in schemes
     }
     victim = topology.gpus()[0].name

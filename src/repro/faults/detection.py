@@ -4,7 +4,8 @@ Real runtimes never observe "the GPU died at t" — they observe silence.
 Each device emits a heartbeat every ``interval`` simulated seconds; a
 :class:`ComputeStraggler` window stretches the spacing by its slowdown
 (the throttled device services its heartbeat timer late, exactly like
-its kernels), and a :class:`DeviceLoss` silences the device for good.
+its kernels), and a :class:`DeviceLoss` silences the device until its
+next :class:`DeviceReturn` (for good if it never returns).
 A *detector* watches the gaps and moves each device through the
 suspicion lifecycle::
 
@@ -157,34 +158,32 @@ class _HeartbeatDetector:
         given the gaps observed so far."""
         raise NotImplementedError
 
-    def death(
-        self, plan: FaultPlan, device: str, died_at: float
-    ) -> tuple[float, float]:
-        """(suspected_at, confirmed_at) for a device that dies at global
-        ``died_at``: silence after the last pre-death heartbeat trips the
-        (possibly adapted) threshold, and the confirm window seals it."""
-        emissions = heartbeat_times(plan, device, died_at, self.config.interval)
-        gaps = [b - a for a, b in zip(emissions, emissions[1:])]
-        # Feed the detector only the gaps it had fully observed pre-death.
-        suspected = emissions[-1] + self.threshold(gaps)
-        return suspected, suspected + self.config.confirm
-
-    def scan(
-        self, plan: FaultPlan, device: str, horizon: float
-    ) -> tuple[int, list["SuspicionEpisode"]]:
-        """(heartbeats emitted, suspicion episodes) on ``device``'s
-        stream up to ``horizon``: every gap that exceeds the (possibly
-        adaptive) threshold opens an episode, exonerated when the next
-        heartbeat lands; a device that goes permanently silent gets a
-        trailing episode confirmed ``config.confirm`` after suspicion."""
-        died_at = min(
-            (l.at for l in plan.device_losses() if l.device == device),
-            default=math.inf,
+    def _confirmed(
+        self, device: str, last_beat: float, gaps: list[float]
+    ) -> "SuspicionEpisode":
+        suspected = last_beat + self.threshold(gaps)
+        return SuspicionEpisode(
+            device, suspected_at=suspected,
+            confirmed_at=suspected + self.config.confirm,
         )
+
+    def _watch(
+        self, plan: FaultPlan, device: str, horizon: float
+    ) -> tuple[list[float], list["SuspicionEpisode"], list[float]]:
+        """(heartbeats, episodes, gap history) on ``device``'s stream up
+        to ``horizon``.  A gap that exceeds the (possibly adaptive)
+        threshold opens an episode, exonerated by the heartbeat that
+        ends it; a gap that spans a loss is that loss's episode,
+        confirmed ``config.confirm`` after suspicion, and stays out of
+        the history (the silence was a death, not a slow beat)."""
+        losses = [l.at for l in plan.device_losses() if l.device == device]
         emissions = heartbeat_times(plan, device, horizon, self.config.interval)
         episodes: list[SuspicionEpisode] = []
         gaps: list[float] = []
         for prev, nxt in zip(emissions, emissions[1:]):
+            if any(prev < at <= nxt for at in losses):
+                episodes.append(self._confirmed(device, prev, gaps))
+                continue
             gap = nxt - prev
             limit = self.threshold(gaps)
             if gap > limit:
@@ -194,12 +193,31 @@ class _HeartbeatDetector:
             # The stretched gap enters the history either way: this is the
             # adaptation that stops phi-accrual re-suspecting a straggler.
             gaps.append(gap)
-        if died_at < math.inf and died_at <= horizon:
-            suspected = emissions[-1] + self.threshold(gaps)
-            episodes.append(SuspicionEpisode(
-                device, suspected_at=suspected,
-                confirmed_at=suspected + self.config.confirm,
-            ))
+        return emissions, episodes, gaps
+
+    def death(
+        self, plan: FaultPlan, device: str, died_at: float
+    ) -> tuple[float, float]:
+        """(suspected_at, confirmed_at) for a device that dies at global
+        ``died_at``: silence after the last pre-death heartbeat trips the
+        (possibly adapted) threshold, and the confirm window seals it."""
+        emissions, _, gaps = self._watch(plan, device, died_at)
+        # Feed the detector only the gaps it had fully observed pre-death.
+        episode = self._confirmed(device, emissions[-1], gaps)
+        return episode.suspected_at, episode.confirmed_at
+
+    def scan(
+        self, plan: FaultPlan, device: str, horizon: float
+    ) -> tuple[int, list["SuspicionEpisode"]]:
+        """(heartbeats emitted, suspicion episodes) on ``device``'s
+        stream up to ``horizon`` (see :meth:`_watch`); a device silent
+        from a loss to the horizon gets a trailing confirmed episode."""
+        emissions, episodes, gaps = self._watch(plan, device, horizon)
+        if any(
+            emissions[-1] < l.at <= horizon
+            for l in plan.device_losses() if l.device == device
+        ):
+            episodes.append(self._confirmed(device, emissions[-1], gaps))
         return len(emissions), episodes
 
 
@@ -262,20 +280,26 @@ def heartbeat_times(
 ) -> list[float]:
     """Global emission times for ``device``'s heartbeats up to
     ``horizon``: every ``interval`` seconds, stretched by the straggler
-    slowdown active when the timer starts, silenced forever at the
-    device's :class:`DeviceLoss` (if any).  Pure and deterministic."""
+    slowdown active when the timer starts, silent from each of the
+    device's :class:`DeviceLoss` to its next :class:`DeviceReturn`
+    (whose heartbeat restarts the timer), or for good without one.
+    Pure and deterministic."""
     if interval <= 0:
         raise ConfigError(f"heartbeat interval must be positive, got {interval}")
-    died_at = min(
-        (l.at for l in plan.device_losses() if l.device == device),
-        default=math.inf,
-    )
+    returns = [r.at for r in plan.device_returns() if r.device == device]
+    silences = [
+        (l.at, min((at for at in returns if at > l.at), default=math.inf))
+        for l in plan.device_losses() if l.device == device
+    ]
     stragglers = [s for s in plan.stragglers() if s.device == device]
     times = [0.0]
     t = 0.0
     while True:
         t += interval * straggler_factor(stragglers, t)
-        if t >= died_at or t > horizon:
+        for lost, back in silences:
+            if lost <= t < back:
+                t = back
+        if t > horizon:
             break
         times.append(t)
     return times

@@ -111,14 +111,12 @@ class MemoryManager:
         # the decomposer (or a test) names tensors, and the manager must
         # track whatever exists by the time each tensor is first touched.
         self.runtimes: dict[int, TensorRuntime] = {}
-        #: Bytes of swapped-out tensor copies per host device —
+        #: Bytes of live swapped-out tensor copies per host device —
         #: ``sum(rt.meta.size_bytes for rt if rt.host_device == host)``,
-        #: maintained incrementally by ``op_finish`` so the remote-swap
-        #: target choice never scans the runtimes.  Checkpoint restore
-        #: snapshots/restores this alongside the runtimes it derives
-        #: from.
+        #: maintained incrementally (``op_finish`` adds a copy, freeing
+        #: or rebirth takes it out) so the remote-swap target choice
+        #: never scans the runtimes.
         self._host_used: dict[str, float] = {}
-        self._home: dict[int, str | None] = {}
         self._use_seq = 0
         self._waiters: dict[int, list[Callable[[], None]]] = {}
 
@@ -129,10 +127,76 @@ class MemoryManager:
         host memory, as at the start of a steady-state iteration."""
         for meta in self.registry.all_tensors():
             rt = self.runtime(meta.tid)
-            is_input = meta.kind is TensorKind.ACTIVATION and meta.layer == -1
-            if meta.persistent or is_input:
+            if meta.persistent or _is_input(meta):
                 rt.materialize_on_host()
 
+    def new_iteration(self) -> None:
+        """Rewind for the plan's next replay: nothing is in flight
+        between iterations, per-microbatch tensors are reborn (fresh
+        inputs arrive on the host, and the old copies leave the host
+        ledger), and persistent state keeps whatever residency the
+        previous iteration left it — the steady-state carry-over."""
+        self._waiters.clear()
+        runtimes = self.runtimes
+        for rt in list(runtimes.values()):
+            meta = rt.meta
+            if meta.persistent:
+                continue
+            self._drop_host_copy(rt)
+            fresh = runtimes[meta.tid] = TensorRuntime(meta)
+            if _is_input(meta):
+                fresh.materialize_on_host()
+
+    # -- iteration-boundary state ----------------------------------------------
+
+    def boundary_state(self, observers: bool = True) -> tuple:
+        """What this manager carries across an iteration boundary, as
+        plain values: the state that steers the next iteration (each
+        runtime in creation order; the host ledger; the use counter;
+        every pool with its reservations in insertion order, which
+        victim scans follow), then — unless ``observers`` is false — the
+        usage log and the activation counters, which only record.
+        :meth:`restore` installs it."""
+        state = (
+            tuple(
+                (tid, rt.state, rt.device, rt.dirty, rt.pinned, rt.last_use,
+                 rt.host_device, rt.home)
+                for tid, rt in self.runtimes.items()
+            ),
+            tuple(self._host_used.items()),
+            self._use_seq,
+            tuple(
+                (name, pool.used, pool.peak_used, pool.demand,
+                 pool.peak_demand, pool.pressure,
+                 tuple(pool._reservations.items()))
+                for name, pool in self.pools.items()
+            ),
+        )
+        if not observers:
+            return state
+        return state + (
+            tuple((dev, tuple(log)) for dev, log in self.usage_log.items()),
+            tuple(self.activation_resident.items()),
+            tuple(self.activation_peak.items()),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Install a :meth:`boundary_state` (with observers) on a
+        manager nothing has run on yet."""
+        runtimes, host_used, use_seq, pools, usage_log, resident, peak = state
+        by_id = self.registry.by_id
+        self.runtimes = {
+            tid: TensorRuntime(by_id(tid), *fields) for tid, *fields in runtimes
+        }
+        self._host_used = dict(host_used)
+        self._use_seq = use_seq
+        for name, *fields, resv in pools:
+            pool = self.pools[name]
+            pool.used, pool.peak_used, pool.demand, pool.peak_demand, pool.pressure = fields
+            pool._reservations = dict(resv)
+        self.usage_log = {dev: list(log) for dev, log in usage_log}
+        self.activation_resident = dict(resident)
+        self.activation_peak = dict(peak)
 
     def _track_activation(self, device: str | None, meta: TensorMeta, sign: float) -> None:
         """Mirror one pool reserve (+1) / release (-1) into the
@@ -156,7 +220,6 @@ class MemoryManager:
         except KeyError:
             rt = TensorRuntime(self.registry.by_id(tid))
             self.runtimes[tid] = rt
-            self._home[tid] = None
             return rt
 
     def pool(self, device: str) -> DevicePool:
@@ -533,7 +596,7 @@ class MemoryManager:
             self._track_activation(dst, meta, +1.0)
             rt.materialize_on_device(dst)
             self.usage_log[dst].append((self.clock(), pool.used))
-            self._assign_home(meta.tid, dst, meta.size_bytes)
+            self._assign_home(rt, dst)
             return True
         raise SimulationError(f"op_begin on unexpected op {op}")
 
@@ -563,7 +626,7 @@ class MemoryManager:
             rt.finish_swap_in()
             rt.dirty = False  # host copy is current right after a swap-in
             stats.record(op.dst, meta.kind, Direction.SWAP_IN, meta.size_bytes)
-            self._assign_home(meta.tid, op.dst, meta.size_bytes)
+            self._assign_home(rt, op.dst)
         elif kind is MemOpKind.P2P:
             src = op.src
             rt.finish_swap_in()
@@ -573,26 +636,26 @@ class MemoryManager:
             self.usage_log[src].append((self.clock(), pool.used))
             stats.record(op.dst, meta.kind, Direction.P2P_IN, meta.size_bytes)
             stats.record(src, meta.kind, Direction.P2P_OUT, meta.size_bytes)
-            self._assign_home(meta.tid, op.dst, meta.size_bytes)
+            self._assign_home(rt, op.dst)
         else:
             raise SimulationError(f"op_finish on non-transfer op {op}")
         if self._waiters:  # guard: the waiter map is almost always empty
             self._fire_waiters(meta.tid)
 
-    def _assign_home(self, tid: int, device: str, size: float) -> None:
-        old = self._home[tid]
+    def _assign_home(self, rt: TensorRuntime, device: str) -> None:
+        old = rt.home
         if old == device:
             return
+        size = rt.meta.size_bytes
         if old is not None:
             self.pools[old].unassign_demand(size)
         self.pools[device].assign_demand(size)
-        self._home[tid] = device
+        rt.home = device
 
-    def _unassign_home(self, tid: int, size: float) -> None:
-        old = self._home[tid]
-        if old is not None:
-            self.pools[old].unassign_demand(size)
-            self._home[tid] = None
+    def _unassign_home(self, rt: TensorRuntime) -> None:
+        if rt.home is not None:
+            self.pools[rt.home].unassign_demand(rt.meta.size_bytes)
+            rt.home = None
 
     # -- execution-time victim substitution ----------------------------------------
 
@@ -677,12 +740,20 @@ class MemoryManager:
         if state is TensorState.SWAPPING_IN or state is TensorState.SWAPPING_OUT:
             raise SimulationError(f"freeing in-flight tensor {rt.meta.label}")
         rt.free()
+        self._drop_host_copy(rt)
         if device is not None:
             pool = self.pools[device]
             pool.release(tid)
             self._track_activation(device, rt.meta, -1.0)
             self.usage_log[device].append((self.clock(), pool.used))
-        self._unassign_home(tid, rt.meta.size_bytes)
+        self._unassign_home(rt)
+
+    def _drop_host_copy(self, rt: TensorRuntime) -> None:
+        """Take a dead tensor's host copy out of the host ledger."""
+        host = rt.host_device
+        if host is not None:
+            self._host_used[host] -= rt.meta.size_bytes
+            rt.host_device = None
 
     # -- end-of-iteration flush ------------------------------------------------------
 
@@ -714,3 +785,8 @@ class MemoryManager:
                 f"peak {fmt_bytes(pool.peak_used)}, demand peak {fmt_bytes(pool.peak_demand)}"
             )
         return "\n".join(lines)
+
+
+def _is_input(meta: TensorMeta) -> bool:
+    """An input microbatch: it arrives in host memory each iteration."""
+    return meta.kind is TensorKind.ACTIVATION and meta.layer == -1

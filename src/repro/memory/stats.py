@@ -56,10 +56,10 @@ class SwapStats:
     #: record.  Maintained incrementally so :meth:`devices` (called by
     #: the validation layer per run) never rescans the whole ledger —
     #: on wide fleets the ledger has O(devices x kinds x directions)
-    #: keys and the rescan was a per-call fleet-sized cost.  Code that
-    #: replaces the ledger wholesale (checkpoint restore) must rebuild
-    #: this set from the new keys; steady-state fast-forward only folds
-    #: existing keys, so the roster is untouched there.
+    #: keys and the rescan was a per-call fleet-sized cost.
+    #: :meth:`restore` rebuilds it from the restored keys; steady-state
+    #: fast-forward only folds existing keys, so the roster is
+    #: untouched there.
     _devices: set[str] = field(default_factory=set, repr=False)
     #: When set (a list), every record also appends ``(key, nbytes)`` —
     #: the per-iteration delta capture behind steady-state fast-forward
@@ -87,6 +87,22 @@ class SwapStats:
         self.record(device, kind, direction, nbytes)
         self._retried[(device, kind, direction)] += nbytes
         self._retry_events[(device, kind, direction)] += 1
+
+    # -- iteration-boundary state ------------------------------------------
+
+    def _ledgers(self) -> tuple[dict, ...]:
+        return (self._volume, self._events, self._retried, self._retry_events)
+
+    def boundary_state(self) -> tuple:
+        """The four ledgers as items in recording order (float sums over
+        a ledger are order-sensitive); :meth:`restore` installs them."""
+        return tuple(tuple(ledger.items()) for ledger in self._ledgers())
+
+    def restore(self, state: tuple) -> None:
+        for ledger, items in zip(self._ledgers(), state):
+            ledger.clear()
+            ledger.update(items)
+        self._devices = {device for device, _, _ in self._volume}
 
     # -- aggregated views --------------------------------------------------
 

@@ -48,7 +48,13 @@ from repro.models.graph import ModelGraph
 #: busy ledger instead of summing the trace (it moves in the last bits,
 #: up to ~1e-13 relative), and every healthy RunResult carries a
 #: ``SteadyReport``; results cached before this change must miss.
-SCHEDULER_VERSION = "2026.10-one-loop"
+#: 2026.10-boundary-state: the host ledger counts live host copies only
+#: (freed and reborn tensors leave it) and is part of the entry
+#: fingerprint, so remote-swap runs pick other spill targets and no
+#: longer fast-forward iterations the ledger tells apart; prefix
+#: checkpoints hold ``Executor.boundary_state()``, a new layout.
+#: Cached remote-swap results and stored checkpoints must miss.
+SCHEDULER_VERSION = "2026.10-boundary-state"
 
 
 class FingerprintError(ReproError):

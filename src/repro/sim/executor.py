@@ -264,8 +264,9 @@ class Executor:
         bitwise, every remaining iteration is proven identical:
         ``auto``/``force`` fast-forward all but the last analytically
         (:mod:`repro.steady.cycle`), while ``off`` simply keeps
-        simulating — both arms produce bit-for-bit equal results, which
-        is what the equivalence tests and the bench assert.  A
+        simulating — both arms produce bit-for-bit equal results (but
+        for ``memory_profile``, which samples live iterations only), as
+        the equivalence tests and the bench assert.  A
         one-iteration run (every fault-injected run is one) reaches no
         boundary: its clock is never rebased, and detection and the
         ``force`` check stay off.
@@ -292,39 +293,37 @@ class Executor:
             store = None  # unfingerprintable, or no boundary: run cold
         snap = store.best(store_key, n - 1) if store is not None else None
         if snap is not None:
-            # Resume from the donor's deepest shared boundary: install
-            # the carried-across state, then replay the cycle-detection
-            # decision a cold run would have made at this boundary
-            # against *our* iteration count (the donor's fingerprints
-            # and ledger are the detection inputs; skip depends on n).
+            # Resume at the donor's deepest shared boundary, with the
+            # donor's detection inputs: the decision at the top of the
+            # loop then runs against *our* iteration count, as a cold
+            # run's would at this boundary.
             from repro.perf.incremental import install_snapshot
 
             install_snapshot(self, snap)
             it = self.restored_from = snap.iteration
-            mark = len(self.trace.events)
-            prev_fp = snap.fp
+            prev_fp, fp, ledger = snap.prev_fp, snap.fp, snap.ledger
             detecting = detecting and snap.detecting
-            if (
-                detecting
-                and snap.ledger is not None
-                and snap.fp == snap.prev_fp
-            ):
-                skip = n - 1 - it
-                if skip > 0:
+        else:
+            self.manager.materialize_initial()
+            it = 0  # iterations completed
+            prev_fp, ledger = None, None
+            fp = entry_fingerprint(self) if detecting else None
+        mark = len(self.trace.events)  # first event of the live iteration
+        while True:
+            # -- at boundary ``it``: the one detection decision --------
+            if detecting:
+                skip = n - 1 - it  # iterations to fast-forward; the
+                # final iteration always runs live so the flush departs
+                # from a naturally-arising state.
+                if fp == prev_fp and skip > 0:
                     detected_at = it + 1
-                    period = snap.ledger.period
+                    period = ledger.period
                     skipped = skip
-                    apply_fast_forward(self, snap.ledger, skip)
+                    apply_fast_forward(self, ledger, skip)
                     mark = len(self.trace.events)
                     detecting = False
                     it = n - 1
-            it += 1
-        else:
-            self.manager.materialize_initial()
-            prev_fp = entry_fingerprint(self) if detecting else None
-            it = 1
-            mark = 0  # first trace-event index of the current iteration
-        while True:
+                prev_fp = fp
             if detecting:
                 start_journals(self)
                 events_before = engine.events_processed
@@ -334,11 +333,11 @@ class Executor:
             engine.run()
             self._check_complete()
             local_makespan = engine.now
+            it += 1
             if it == n:
                 if detecting:
                     stop_journals(self)
                 break
-            ledger = None
             if detecting:
                 # Capture before the commit below shifts events[mark:]
                 # to absolute time: the cycle is stored in local time.
@@ -362,13 +361,12 @@ class Executor:
                 tl.free_at = 0.0
             fp = entry_fingerprint(self) if detecting else None
             if store is not None and (detecting or mode is SteadyMode.OFF):
-                # Donor-side prefix checkpoint: captured mid-boundary —
-                # after the entry fingerprint, before the detection
-                # branch — so a restoring run can replay the detection
-                # decision itself.  Post-detection boundaries are never
-                # reached here (detection jumps straight to the final
-                # iteration), so snapshots never carry compressed
-                # segments.  Throttled to O(log n) boundaries.
+                # Donor-side prefix checkpoint: captured before the
+                # detection decision, with its inputs, so a restoring
+                # run can make the decision itself.  Detection jumps
+                # straight to the final iteration, so no post-detection
+                # boundary is captured and snapshots never carry
+                # compressed segments.  Throttled to O(log n) boundaries.
                 from repro.perf.incremental import (
                     capture_snapshot,
                     snapshot_boundary,
@@ -381,20 +379,6 @@ class Executor:
                             self, it, prev_fp, fp, ledger, detecting
                         ),
                     )
-            if detecting:
-                skip = n - 1 - it  # iterations to fast-forward; the
-                # final iteration always runs live so the flush departs
-                # from a naturally-arising state.
-                if fp == prev_fp and skip > 0:
-                    detected_at = it + 1
-                    period = ledger.period
-                    skipped = skip
-                    apply_fast_forward(self, ledger, skip)
-                    mark = len(self.trace.events)
-                    detecting = False
-                    it = n - 1
-                prev_fp = fp
-            it += 1
         if self.options.flush_at_end:
             self._flush()
             engine.run()
@@ -429,30 +413,53 @@ class Executor:
 
     def _reset_iteration(self) -> None:
         """Rewind the plan for a replay: every device starts its order
-        over, per-microbatch tensors are reborn (fresh inputs arrive on
-        the host), and persistent state keeps whatever residency the
-        previous iteration left it — the steady-state carry-over."""
-        from repro.tensors.state import TensorRuntime
-        from repro.tensors.tensor import TensorKind
-
+        over, and the manager rebirths per-microbatch tensors."""
         self.done.clear()
         self._dep_missing = dict(self._dep_template)
         self._arrivals.clear()
         self._started_collectives.clear()
-        self.manager._waiters.clear()  # nothing is in flight between iterations
         for st in self.devstates.values():
             st.run_idx = 0
             st.computing = None
             st.prep_inflight = None
             st.ready.clear()
-        for tid, rt in list(self.manager.runtimes.items()):
-            if rt.meta.persistent:
-                continue
-            fresh = TensorRuntime(rt.meta)
-            self.manager.runtimes[tid] = fresh
-            self.manager._home[tid] = None
-            if rt.meta.kind is TensorKind.ACTIVATION and rt.meta.layer == -1:
-                fresh.materialize_on_host()
+        self.manager.new_iteration()
+
+    # -- iteration-boundary state ---------------------------------------------
+
+    def boundary_state(self) -> tuple:
+        """Everything this run carries across an iteration boundary:
+        epoch, samples, event count, the committed trace, timeline busy
+        seconds by timeline name, then the manager's and the swap
+        ledger's own boundary state.  The rest (device states, arrival
+        sets, waiters, the engine calendar) is in its reset form at a
+        boundary.  :meth:`restore` installs it."""
+        if self.trace.segments:  # fast-forward jumps to the last iteration
+            raise AssertionError("compressed trace segments are not resumable")
+        return (
+            self._clock.epoch,
+            self._samples,
+            self.engine.events_processed,
+            tuple(self.trace.events),
+            tuple((tl.name, tl.busy_seconds) for tl in self._all_timelines),
+            self.manager.boundary_state(),
+            self.stats.boundary_state(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Install a :meth:`boundary_state` on an executor that has not
+        run: its engine, device states and trace are in the form a
+        boundary reset leaves them."""
+        epoch, samples, events, trace, busy, manager, stats = state
+        self._clock.epoch = epoch
+        self._samples = samples
+        self.engine.events_processed = events
+        self.trace.events[:] = trace
+        timelines = {tl.name: tl for tl in self._all_timelines}
+        for name, busy_seconds in busy:
+            timelines[name].busy_seconds = busy_seconds
+        self.manager.restore(manager)
+        self.stats.restore(stats)
 
     # -- scheduling loop ------------------------------------------------------
 

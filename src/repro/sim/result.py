@@ -68,7 +68,9 @@ class RunResult:
     #: the benchmark harness's events/sec metric (see ``repro.perf``).
     events_processed: int = 0
     #: Per-device (time, bytes-resident) samples taken at every
-    #: allocation/eviction — the memory-usage-over-time curve.
+    #: allocation/eviction — the memory-usage-over-time curve.  Only the
+    #: live iterations are sampled: a fast-forwarded run (see
+    #: :mod:`repro.steady`) has none for the iterations it skipped.
     memory_profile: dict[str, list[tuple[float, float]]] = field(
         default_factory=dict
     )

@@ -9,15 +9,13 @@ iterations entered in bitwise-identical state produce bitwise-identical
 event streams — so periodicity detection reduces to comparing entry
 fingerprints, with no float-translation noise to tolerate.
 
-The entry fingerprint covers exactly the state that can influence
-execution:
-
-* every tensor runtime: lifetime state, device, dirty/pinned flags,
-  host placement, and the manager's home assignment;
-* the LRU *rank order* of ``last_use`` sequence numbers (the absolute
-  values grow forever; only their order drives victim selection);
-* every device pool: used/peak bytes, demand, pressure, and the
-  reservation table *in insertion order* (victim scans iterate it).
+The entry fingerprint is the memory manager's boundary state without
+its observers (``MemoryManager.boundary_state(observers=False)``): every
+tensor runtime, the host ledger, and every device pool with its
+reservation table *in insertion order* (victim scans iterate it).
+``last_use`` and the use counter grow forever, so the fingerprint keeps
+only the LRU *rank order* of ``last_use``, which is all victim
+selection reads.
 
 Monotone observers — the trace, the swap ledger, ``usage_log``,
 ``events_processed`` — are deliberately excluded: they are outputs, and
@@ -63,26 +61,11 @@ class CycleLedger:
 
 def entry_fingerprint(ex: "Executor") -> tuple:
     """Bitwise fingerprint of the executor's iteration-entry state."""
-    manager = ex.manager
-    runtimes = manager.runtimes
-    home = manager._home
-    tensors = tuple(
-        (tid, rt.state, rt.device, rt.dirty, rt.pinned, rt.host_device,
-         home.get(tid))
-        for tid, rt in sorted(runtimes.items())
-    )
-    lru_rank = tuple(
-        tid
-        for tid, _ in sorted(
-            runtimes.items(), key=lambda kv: (kv[1].last_use, kv[0])
-        )
-    )
-    pools = tuple(
-        (name, pool.used, pool.peak_used, pool.demand, pool.peak_demand,
-         pool.pressure, tuple(pool._reservations.items()))
-        for name, pool in sorted(manager.pools.items())
-    )
-    return (tensors, lru_rank, pools)
+    runtimes, host_used, _, pools = ex.manager.boundary_state(observers=False)
+    # Runtime fields: (tid, state, device, dirty, pinned, last_use, ...).
+    lru_rank = tuple(rt[0] for rt in sorted(runtimes, key=lambda rt: (rt[5], rt[0])))
+    tensors = tuple(rt[:5] + rt[6:] for rt in runtimes)
+    return (tensors, lru_rank, host_used, pools)
 
 
 def start_journals(ex: "Executor") -> None:

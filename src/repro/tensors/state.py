@@ -23,7 +23,7 @@ hard-wired behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TensorStateError
 from repro.tensors.tensor import TensorMeta
@@ -83,14 +83,15 @@ class TensorRuntime:
     #: Which host's DRAM holds the host copy (multi-server topologies
     #: have several hosts; ``None`` means "any" / not yet written back).
     host_device: str | None = None
-    _history: list[TensorState] = field(default_factory=list, repr=False)
+    #: The device whose demand (footprint) this tensor counts against,
+    #: assigned by the memory manager; ``None`` while unassigned.
+    home: str | None = None
 
     def _transition(self, new: TensorState) -> None:
         if new not in _ALLOWED[self.state]:
             raise TensorStateError(
                 f"{self.meta.label}: illegal transition {self.state.value} -> {new.value}"
             )
-        self._history.append(self.state)
         self.state = new
 
     # -- transitions -----------------------------------------------------
@@ -108,7 +109,6 @@ class TensorRuntime:
                 f"{self.meta.label}: materialize_on_host requires "
                 f"UNMATERIALIZED, is {self.state.value}"
             )
-        self._history.append(self.state)
         self.state = TensorState.ON_HOST
         self.dirty = False
 
@@ -123,7 +123,6 @@ class TensorRuntime:
             raise TensorStateError(
                 f"{self.meta.label}: swap-in requires ON_HOST, is {self.state.value}"
             )
-        self._history.append(self.state)
         self.state = TensorState.SWAPPING_IN
         self.device = device
 
@@ -133,7 +132,6 @@ class TensorRuntime:
             raise TensorStateError(
                 f"{self.meta.label}: p2p move requires ON_DEVICE, is {self.state.value}"
             )
-        self._history.append(self.state)
         self.state = TensorState.SWAPPING_IN
         self.device = device
 
@@ -143,7 +141,6 @@ class TensorRuntime:
                 f"{self.meta.label}: finish_swap_in requires SWAPPING_IN, "
                 f"is {self.state.value}"
             )
-        self._history.append(self.state)
         self.state = TensorState.ON_DEVICE
 
     def begin_swap_out(self, force: bool = False) -> None:
@@ -160,7 +157,6 @@ class TensorRuntime:
                 f"{self.meta.label}: finish_swap_out requires SWAPPING_OUT, "
                 f"is {self.state.value}"
             )
-        self._history.append(self.state)
         self.state = TensorState.ON_HOST
         self.device = None
         self.dirty = False
@@ -203,7 +199,3 @@ class TensorRuntime:
     @property
     def alive(self) -> bool:
         return self.state not in (TensorState.FREED, TensorState.UNMATERIALIZED)
-
-    def history(self) -> list[TensorState]:
-        """All past states, oldest first (excludes the current state)."""
-        return list(self._history)

@@ -58,6 +58,36 @@ class TestCli:
             main([])
 
 
+class TestFaultsTraceOut:
+    """``faults --trace-out``: one seeded faulty run on a degradation
+    cell's fault plan, dumped byte-identically, and its outcome in the
+    exit code."""
+
+    def run(self, capsys, path, *argv):
+        code = main(["faults", *argv, "--trace-out", str(path)])
+        capsys.readouterr()
+        return code, path.read_bytes()
+
+    def test_replay_is_byte_identical_and_recovers(self, capsys, tmp_path):
+        argv = ("--iterations", "4", "--mttf", "2.5")
+        code_a, trace_a = self.run(capsys, tmp_path / "a.txt", *argv)
+        code_b, trace_b = self.run(capsys, tmp_path / "b.txt", *argv)
+        assert code_a == code_b == 0
+        assert trace_a == trace_b
+        assert b"recovered=True" in trace_a.splitlines()[-1]
+
+    def test_unrecovered_run_exits_one(self, capsys, tmp_path):
+        # The sweep's only column is healthy, so the exit code comes
+        # from the dumped run alone: it loses the only GPU at 2.5
+        # iteration times.
+        code, trace = self.run(
+            capsys, tmp_path / "lost.txt",
+            "--gpus", "1", "--iterations", "4", "--mttf", "inf",
+        )
+        assert code == 1
+        assert b"recovered=False" in trace.splitlines()[-1]
+
+
 class TestPerfCli:
     def test_figures_jobs_parity(self, capsys):
         assert main(["figures"]) == 0

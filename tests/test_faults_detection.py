@@ -14,6 +14,7 @@ from repro.faults import (
     ComputeStraggler,
     DetectorConfig,
     DeviceLoss,
+    DeviceReturn,
     FaultPlan,
     ResiliencePolicy,
     build_detector,
@@ -158,6 +159,39 @@ class TestDeathConfirmation:
             DeviceLoss("gpu0", at=40.0),
         ))
         assert detection_latency(plan, "gpu0", 40.0, cfg("fixed-timeout")) == 0.0
+
+
+class TestRejoinedDevice:
+    """gpu0 is lost at 1.0 s, returns at 2.0 s and is lost again at
+    6.0 s; fixed-timeout with interval 0.5, timeout 2.0, confirm 0.5."""
+
+    plan = FaultPlan(seed=0, faults=(
+        DeviceLoss("gpu0", at=1.0),
+        DeviceReturn("gpu0", at=2.0),
+        DeviceLoss("gpu0", at=6.0),
+    ))
+    config = DetectorConfig(
+        kind="fixed-timeout", interval=0.5, timeout=2.0, confirm=0.5
+    )
+
+    def test_heartbeats_resume_on_return(self):
+        times = heartbeat_times(self.plan, "gpu0", horizon=10.0, interval=0.5)
+        assert times == [0.0, 0.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
+
+    def test_both_losses_get_the_same_latency(self):
+        first = detection_latency(self.plan, "gpu0", 1.0, self.config)
+        second = detection_latency(self.plan, "gpu0", 6.0, self.config)
+        assert first == second == pytest.approx(2.0)
+
+    def test_scan_confirms_both_losses_and_counts_later_beats(self):
+        beats, episodes = build_detector(self.config).scan(
+            self.plan, "gpu0", 10.0
+        )
+        assert beats == 10  # eight of them after the return
+        assert [ep.false_positive for ep in episodes] == [False, False]
+        assert [(ep.suspected_at, ep.confirmed_at) for ep in episodes] == [
+            (2.5, 3.0), (7.5, 8.0),
+        ]
 
 
 class TestNoneDetector:

@@ -27,7 +27,7 @@ from repro.sim.executor import Executor
 from repro.sim.trace import Trace
 from repro.sim.transfer import TransferEngine
 from repro.tensors.registry import TensorRegistry
-from repro.units import MB
+from repro.units import GB, MB
 
 
 def _fleet_run(num_gpus):
@@ -231,15 +231,14 @@ class TestRackCluster:
 
 
 class TestRemoteSwap:
-    def _tiny_host_cluster(self):
+    def _tiny_host_cluster(self, cpu0_bytes=0.05 * GB):
         from repro.hardware.device import gtx1080ti, host_cpu
         from repro.hardware.links import ethernet, pcie_gen3
         from repro.hardware.topology import Topology
-        from repro.units import GB
 
         topo = Topology(name="tiny-host")
         net = topo.add_switch("netswitch")
-        for s, hostmem in ((0, 0.05 * GB), (1, 512 * GB)):
+        for s, hostmem in ((0, cpu0_bytes), (1, 512 * GB)):
             topo.add_device(host_cpu(f"cpu{s}", memory_bytes=hostmem))
             sw = topo.add_switch(f"s{s}switch")
             topo.add_link(pcie_gen3(f"uplink{s}"), sw, f"cpu{s}")
@@ -287,16 +286,60 @@ class TestRemoteSwap:
 
     def test_host_ledger_matches_runtimes(self):
         ex = self._run(self._tiny_host_cluster(), remote_swap=True)
-        expected = {}
-        for rt in ex.manager.runtimes.values():
-            if rt.host_device is not None:
-                expected[rt.host_device] = (
-                    expected.get(rt.host_device, 0.0) + rt.meta.size_bytes
-                )
-        ledger = {
-            k: v for k, v in ex.manager._host_used.items() if v
-        }
-        assert ledger == pytest.approx(expected)
+        assert _host_ledger(ex.manager) == pytest.approx(
+            _live_host_copies(ex.manager)
+        )
+
+    def _spilling_run(self, mode):
+        """harmony-dp over 12 iterations whose write-backs outgrow
+        cpu0's 8 GB and spill to cpu1."""
+        from repro.schedulers.options import HarmonyOptions
+        from repro.sim.executor import ExecOptions
+
+        topo = self._tiny_host_cluster(cpu0_bytes=8 * GB)
+        model = zoo.synthetic_uniform(
+            num_layers=8, param_bytes_per_layer=2e9,
+            activation_bytes=500 * MB,
+        )
+        plan = build_scheduler(
+            "harmony-dp", model, topo, BatchConfig(1, 2),
+            HarmonyOptions(remote_swap=True),
+        ).plan()
+        return Executor(
+            topo, plan, options=ExecOptions(iterations=12, steady_state=mode)
+        ).run()
+
+    def test_spilling_run_identical_under_off_and_auto(self):
+        """The host ledger steers the spill target, so it is part of
+        the state an iteration carries: fast-forward must not skip
+        iterations that only the ledger tells apart."""
+        off = self._spilling_run("off")
+        auto = self._spilling_run("auto")
+        assert auto.makespan == off.makespan
+        assert dict(auto.stats._volume) == dict(off.stats._volume)
+        assert dict(auto.stats._events) == dict(off.stats._events)
+        assert auto.link_busy == off.link_busy
+        assert auto.trace.expanded().events == off.trace.events
+
+    def test_host_ledger_counts_live_copies_at_every_boundary(
+        self, monkeypatch
+    ):
+        """Freed and reborn tensors' host copies leave the ledger, so at
+        each iteration boundary it equals the live copies' sizes."""
+        seen = []
+        reset = Executor._reset_iteration
+
+        def checked(ex):
+            reset(ex)
+            seen.append(
+                (_host_ledger(ex.manager), _live_host_copies(ex.manager))
+            )
+
+        monkeypatch.setattr(Executor, "_reset_iteration", checked)
+        self._spilling_run("off")
+        assert len(seen) == 11
+        for ledger, live in seen:
+            assert ledger == live
 
     def test_off_by_default(self):
         from repro.memory.policy import MemoryPolicy
@@ -305,6 +348,23 @@ class TestRemoteSwap:
         assert MemoryPolicy().remote_swap is False
         assert HarmonyOptions().memory_policy().remote_swap is False
         assert HarmonyOptions(remote_swap=True).memory_policy().remote_swap
+
+
+def _host_ledger(manager):
+    return {host: v for host, v in manager._host_used.items() if v}
+
+
+def _live_host_copies(manager):
+    """Bytes per host of the host copies that live runtimes hold."""
+    from repro.tensors.state import TensorState
+
+    live = {}
+    for rt in manager.runtimes.values():
+        if rt.host_device is not None and rt.state is not TensorState.FREED:
+            live[rt.host_device] = (
+                live.get(rt.host_device, 0.0) + rt.meta.size_bytes
+            )
+    return live
 
 
 class _CountingLedger(dict):

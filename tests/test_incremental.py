@@ -70,6 +70,8 @@ def assert_identical(cold, warm):
     assert dict(warm.stats._volume) == dict(cold.stats._volume)
     assert dict(warm.stats._events) == dict(cold.stats._events)
     assert warm.activation_peaks() == cold.activation_peaks()
+    assert warm.memory_profile == cold.memory_profile
+    assert warm.devices == cold.devices
     assert json.dumps(to_chrome_trace(warm.trace), sort_keys=True) == (
         json.dumps(to_chrome_trace(cold.trace), sort_keys=True)
     )
@@ -242,12 +244,8 @@ class TestFingerprintSensitivity:
 
 def _snap(iteration: int) -> Snapshot:
     return Snapshot(
-        iteration=iteration, epoch=0.0, samples=0, events_processed=0,
-        trace_events=(), busy=(), runtimes=(), home=(), use_seq=0,
-        pools=(), usage_log=(), activation_resident=(),
-        activation_peak=(), stats_volume=(), stats_events=(),
-        stats_retried=(), stats_retry_events=(), prev_fp=None, fp=None,
-        ledger=None, detecting=False,
+        iteration=iteration, state=(), prev_fp=None, fp=None, ledger=None,
+        detecting=False,
     )
 
 

@@ -177,6 +177,36 @@ class TestEquivalence:
         assert len(calls) == 0
 
 
+class TestEntryFingerprint:
+    """The fingerprint must see every part of the state an iteration
+    carries that can steer the next one."""
+
+    def entry_executor(self, model, server):
+        from repro.sim.executor import Executor
+
+        plan = HarmonySession(
+            model, server, HarmonyConfig("harmony-pp", batch=BatchConfig(1, 2))
+        ).plan()
+        ex = Executor(server, plan)
+        ex.manager.materialize_initial()
+        return ex
+
+    @pytest.mark.parametrize("part", ["host_ledger", "pressure", "host_device"])
+    def test_perturbation_changes_fingerprint(self, model, server, part):
+        from repro.steady.cycle import entry_fingerprint
+
+        ex = self.entry_executor(model, server)
+        before = entry_fingerprint(ex)
+        manager = ex.manager
+        if part == "host_ledger":
+            manager._host_used["cpu"] = 1.0
+        elif part == "pressure":
+            next(iter(manager.pools.values())).pressure = 1.0
+        else:
+            next(iter(manager.runtimes.values())).host_device = "cpu"
+        assert entry_fingerprint(ex) != before
+
+
 class TestFaultVeto:
     def plan(self, model, server):
         # Lose a GPU mid-run: the resilient runner re-plans onto the

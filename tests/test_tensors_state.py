@@ -63,16 +63,6 @@ class TestHappyPaths:
         rt.mark_written()
         assert rt.dirty
 
-    def test_history_records_transitions(self, rt):
-        rt.materialize_on_host()
-        rt.begin_swap_in("g")
-        rt.finish_swap_in()
-        assert rt.history() == [
-            TensorState.UNMATERIALIZED,
-            TensorState.ON_HOST,
-            TensorState.SWAPPING_IN,
-        ]
-
 
 class TestIllegalTransitions:
     def test_double_materialize(self, rt):
