@@ -20,14 +20,14 @@ engine decides when each operation's transfer occupies which links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import CapacityError, SimulationError
 from repro.hardware.topology import Topology
 from repro.memory.allocator import DevicePool
 from repro.memory.policy import MemoryPolicy
 from repro.memory.stats import Direction, SwapStats
-from repro.tasks.task import Task
+from repro.tasks.task import Share, Task
 from repro.tensors.registry import TensorRegistry
 from repro.tensors.state import TensorRuntime, TensorState
 from repro.tensors.tensor import TensorKind, TensorMeta
@@ -228,11 +228,10 @@ class MemoryManager:
         except KeyError:
             raise SimulationError(f"no memory pool for device {device!r}") from None
 
-    def prepare(
-        self, task: Task, device: str, tensors: Sequence[int] | None = None
-    ) -> list[MemOp]:
+    def prepare(self, task: Task | Share, device: str) -> list[MemOp]:
         """Plan the memory operations that make ``task``'s tensors
-        resident on ``device``.
+        resident on ``device`` (a collective participant passes its
+        :class:`~repro.tasks.task.Share`).
 
         Returns ops in execution order: waits and evictions first, then
         incoming transfers/allocations.  Pins every touched tensor;
@@ -240,16 +239,14 @@ class MemoryManager:
         when the working set cannot fit even after evicting everything
         evictable.
         """
-        touched = list(dict.fromkeys(tensors)) if tensors is not None else list(
-            task.touched
-        )
         if device not in self.pools:
             # The task runs on a host (e.g. a CPU-offloaded optimizer
             # step, the ZeRO-Offload design the paper cites): host
             # memory is unbounded, so preparation reduces to writing
             # back any device-resident inputs.
-            return self._prepare_on_host(task, touched, set(task.writes))
+            return self._prepare_on_host(task)
 
+        touched = task.touched
         policy = self.policy
         # Idealized no-reuse swapper (paper §3 accounting, keep_resident
         # off): every unpinned tensor leaves the device before the task,
@@ -355,15 +352,14 @@ class MemoryManager:
             raise
         return waits + evictions + incoming
 
-    def _prepare_on_host(
-        self, task: Task, touched: list[int], writes: set[int]
-    ) -> list[MemOp]:
+    def _prepare_on_host(self, task: Task | Share) -> list[MemOp]:
         """Residency plan for a host-placed task: device-resident inputs
         are written back (their swap-out is this task's data movement);
         host-resident tensors are free to use; written tensors that do
         not exist yet materialize directly in host memory."""
         ops: list[MemOp] = []
         seq = self._next_use()
+        touched = task.touched
         rts = [self.runtime(tid) for tid in touched]
         for tid, rt in zip(touched, rts):
             rt.last_use = seq
@@ -379,7 +375,7 @@ class MemoryManager:
                     MemOp(MemOpKind.SWAP_OUT, rt.meta, rt.device, None, forced=True)
                 )
             elif rt.state is TensorState.UNMATERIALIZED:
-                if tid not in writes:
+                if tid not in task.writes:
                     raise SimulationError(
                         f"host task {task.label} reads unmaterialized tensor "
                         f"{rt.meta.label}"
@@ -501,7 +497,7 @@ class MemoryManager:
                 best, best_free = name, pool.free
         return best
 
-    def swap_host_for(self, device: str, nbytes: float) -> str:
+    def swap_host_for(self, device: str, nbytes: float, holder: str | None) -> str:
         """Which host's DRAM a swap-out from ``device`` should target.
 
         Without ``remote_swap`` (the default) this is always the local
@@ -510,14 +506,19 @@ class MemoryManager:
         ordered within a tier: ``Topology.hosts_by_distance``) whose
         ledgered spill volume leaves room wins; a fleet whose every
         host is full falls back to the local host, which is the
-        pre-feature behavior under pressure.
+        pre-feature behavior under pressure.  ``holder`` is the host
+        that already keeps the tensor's copy: the write-back replaces
+        that copy in place, so it needs no room there.
         """
         local = self.topology.host_of(device).name
         if not self.policy.remote_swap:
             return local
         used = self._host_used
         for host in self.topology.hosts_by_distance(device):
-            if used.get(host.name, 0.0) + nbytes <= host.memory_bytes:
+            taken = used.get(host.name, 0.0)
+            if host.name != holder:
+                taken += nbytes
+            if taken <= host.memory_bytes:
                 return host.name
         return local
 
@@ -699,17 +700,15 @@ class MemoryManager:
 
     # -- task completion --------------------------------------------------------------
 
-    def task_finished(self, task: Task, tensors: Sequence[int] | None = None) -> None:
+    def task_finished(self, task: Task | Share) -> None:
         """Unpin the task's tensors, mark its writes dirty, and free its
         dead tensors."""
-        touched = list(tensors) if tensors is not None else list(task.touched)
-        touched_set = set(touched)
         self._use_seq += 1
         seq = self._use_seq
         runtimes = self.runtimes
         runtime = self.runtime
         waiters = self._waiters
-        for tid in touched:
+        for tid in task.touched:
             rt = runtimes.get(tid) or runtime(tid)
             if rt.pinned <= 0:
                 raise SimulationError(
@@ -720,15 +719,11 @@ class MemoryManager:
             if rt.pinned == 0 and waiters:
                 self._fire_waiters(tid)
         for tid in task.writes:
-            if tid not in touched_set:
-                continue
             # Present in ``runtimes``: the unpin loop above touched it.
             rt = runtimes[tid]
             if rt.state is TensorState.ON_DEVICE:
                 rt.mark_written()
         for tid in task.frees:
-            if tid not in touched_set and tensors is not None:
-                continue
             self._free(tid)
 
     def _free(self, tid: int) -> None:

@@ -113,13 +113,7 @@ class SwapStats:
         direction: Direction | None = None,
     ) -> float:
         """Total bytes matching the given filters (None = any)."""
-        return sum(
-            v
-            for (d, k, dr), v in self._volume.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
+        return _filtered_sum(self._volume, device, kind, direction)
 
     def events(
         self,
@@ -127,13 +121,7 @@ class SwapStats:
         kind: TensorKind | None = None,
         direction: Direction | None = None,
     ) -> int:
-        return sum(
-            c
-            for (d, k, dr), c in self._events.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
+        return _filtered_sum(self._events, device, kind, direction)
 
     def host_traffic(self, device: str | None = None) -> float:
         """Bytes crossing the device<->host boundary (both directions) —
@@ -166,13 +154,7 @@ class SwapStats:
     ) -> float:
         """Bytes wasted on failed transfer attempts (subset of
         :meth:`volume` — conservation checks include them)."""
-        return sum(
-            v
-            for (d, k, dr), v in self._retried.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
+        return _filtered_sum(self._retried, device, kind, direction)
 
     def retry_events(
         self,
@@ -180,13 +162,7 @@ class SwapStats:
         kind: TensorKind | None = None,
         direction: Direction | None = None,
     ) -> int:
-        return sum(
-            c
-            for (d, k, dr), c in self._retry_events.items()
-            if (device is None or d == device)
-            and (kind is None or k == kind)
-            and (direction is None or dr == direction)
-        )
+        return _filtered_sum(self._retry_events, device, kind, direction)
 
     def volume_totals(self) -> dict[tuple[str, Direction], float]:
         """Per-(device, direction) totals of the volume ledger in one
@@ -219,6 +195,23 @@ class SwapStats:
                 parts.append(f"retried={wasted / GB:.2f}")
             lines.append(f"  {device}: " + (", ".join(parts) or "none"))
         return "\n".join(lines)
+
+
+def _filtered_sum(
+    ledger: dict,
+    device: str | None,
+    kind: TensorKind | None,
+    direction: Direction | None,
+):
+    """The builtin ``sum()`` of ``ledger``'s values whose key matches
+    every filter that is not ``None``, in ledger order."""
+    return sum(
+        v
+        for (d, k, dr), v in ledger.items()
+        if (device is None or d == device)
+        and (kind is None or k == kind)
+        and (direction is None or dr == direction)
+    )
 
 
 def _device_direction_totals(ledger: dict) -> dict[tuple[str, Direction], float]:

@@ -54,7 +54,11 @@ from repro.models.graph import ModelGraph
 #: longer fast-forward iterations the ledger tells apart; prefix
 #: checkpoints hold ``Executor.boundary_state()``, a new layout.
 #: Cached remote-swap results and stored checkpoints must miss.
-SCHEDULER_VERSION = "2026.10-boundary-state"
+#: 2026.10-swap-holder: a remote-swap write-back counts the tensor's
+#: own copy as room on the host that keeps it, so copies stop moving
+#: between hosts and remote-swap results move (the spilling run in
+#: ``tests/test_fleet_scaling.py`` now reaches a steady state).
+SCHEDULER_VERSION = "2026.10-swap-holder"
 
 
 class FingerprintError(ReproError):

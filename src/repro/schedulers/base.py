@@ -11,13 +11,12 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.memory.policy import MemoryPolicy
 from repro.models.graph import ModelGraph
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import IterationTasks
-from repro.tasks.task import TaskKind
 
 
 @dataclass(frozen=True)
@@ -67,35 +66,12 @@ class Scheduler(abc.ABC):
         self,
         itasks: IterationTasks,
         device_order: dict[str, list[int]],
-        replica_device: dict[int, str],
         policy: MemoryPolicy,
         notes: dict | None = None,
-        wire_allreduce: bool = True,
-        collective_subsets: dict[int, dict[str, tuple[int, ...]]] | None = None,
     ) -> Plan:
-        """Wire allreduce participants, check placement, and assemble.
-
-        ``wire_allreduce=False`` keeps the participants the scheduler
-        already set — for layouts where a replica spans several devices
-        (e.g. DAPPLE's hybrid pipelines) the one-device-per-replica
-        wiring below is wrong, and the scheduler passes the matching
-        per-device tensor ``collective_subsets`` instead.
-        """
-        if wire_allreduce:
-            # One sorted participant tuple shared by every collective —
-            # sorting once instead of per ALLREDUCE task keeps plan
-            # assembly linear on wide fleets.
-            participants = tuple(
-                sorted(
-                    replica_device[r] for r in range(itasks.num_replicas)
-                )
-            )
-            for task in itasks.graph:
-                if task.kind is TaskKind.ALLREDUCE:
-                    task.participants = participants
-        for task in itasks.graph:
-            if task.kind is TaskKind.COMPUTE and task.device is None:
-                raise SchedulingError(f"task {task.label} left unplaced by {self.name}")
+        """Assemble the plan.  Collectives need no wiring here: the plan
+        splits each into per-device shares from the placement this
+        scheduler made, and rejects an unplaced compute task."""
         # Not validated here: the executor validates every plan it is
         # given (Plan.validate walks the whole graph and device orders,
         # and running it twice per simulation is measurable).
@@ -104,12 +80,10 @@ class Scheduler(abc.ABC):
             graph=itasks.graph,
             registry=itasks.registry,
             device_order=device_order,
-            replica_device=replica_device,
             policy=policy,
             samples_per_iteration=itasks.samples_per_iteration,
             microbatch_size=itasks.microbatch_size,
             notes=notes or {},
-            collective_subsets=collective_subsets or {},
         )
 
     @staticmethod

@@ -16,10 +16,11 @@ Two ideas from the paper, both expressed here:
   *stage*: every stage's allreduce ring spans that stage's device in
   each pipeline and fires as soon as the stage's last backward retires
   — deep stages sync while shallow stages are still computing, instead
-  of one rigid all-replica tail.  Because a replica here spans several
-  devices, these per-stage rings are described to the executor through
-  ``Plan.collective_subsets`` rather than the one-device-per-replica
-  wiring the data-parallel schedulers use.
+  of one rigid all-replica tail.  Nothing here wires those rings: a
+  replica spans several devices, but each stage's gradients are first
+  touched by that stage's backward, so the plan's placement rule
+  (:func:`~repro.sim.plan.collective_shares`) gives every stage device
+  its pipeline's gradient shard.
 
 Memory is managed by the baseline per-GPU virtualization policy — like
 :class:`~repro.schedulers.pipedream_1f1b.PipeDream1F1B` this is a
@@ -96,19 +97,15 @@ class DappleScheduler(Scheduler):
                 for pu in itasks.upd_packs_within(s):
                     itasks.upd[(r, pu)].place(device)
                 device_order[device] = self._stage_order(itasks, r, s)
-        collective_subsets = self._wire_stage_allreduce(itasks, stages)
         return self._finish_plan(
             itasks,
             device_order,
-            {r: self.stage_device(r, 0) for r in range(self.num_pipelines)},
             self.policy,
             notes={
                 "stages": stages,
                 "schedule": "dapple",
                 "num_pipelines": self.num_pipelines,
             },
-            wire_allreduce=False,
-            collective_subsets=collective_subsets,
         )
 
     def _stage_order(
@@ -133,36 +130,3 @@ class DappleScheduler(Scheduler):
                 order.append(itasks.allreduce[pu].tid)
             order.append(itasks.upd[(replica, pu)].tid)
         return order
-
-    def _wire_stage_allreduce(
-        self, itasks: IterationTasks, stages: list[tuple[int, ...]]
-    ) -> dict[int, dict[str, tuple[int, ...]]]:
-        """Point each gradient allreduce at the devices hosting its
-        stage across the pipelines, and record which gradient shards
-        live where (a pipeline replica spans several devices, so the
-        executor cannot infer this from ``replica_device``)."""
-        if not itasks.allreduce:
-            return {}
-        reg = itasks.registry
-        stage_of_pack = {
-            pu: s
-            for s in range(self.num_stages)
-            for pu in itasks.upd_packs_within(s)
-        }
-        subsets: dict[int, dict[str, tuple[int, ...]]] = {}
-        for pu, task in itasks.allreduce.items():
-            stage = stage_of_pack[pu]
-            pack = itasks.packs_upd[pu]
-            task.participants = tuple(
-                sorted(
-                    self.stage_device(r, stage)
-                    for r in range(self.num_pipelines)
-                )
-            )
-            subsets[task.tid] = {
-                self.stage_device(r, stage): tuple(
-                    reg.weight_grad(l, r).tid for l in pack
-                )
-                for r in range(self.num_pipelines)
-            }
-        return subsets

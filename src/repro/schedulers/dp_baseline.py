@@ -73,4 +73,4 @@ class DataParallelBaseline(Scheduler):
             for pu in range(len(itasks.packs_upd)):
                 order.append(itasks.upd[(r, pu)].tid)
             device_order[device] = order
-        return self._finish_plan(itasks, device_order, replica_device, self.policy)
+        return self._finish_plan(itasks, device_order, self.policy)

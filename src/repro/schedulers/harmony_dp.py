@@ -71,9 +71,7 @@ class HarmonyDP(Scheduler):
             device_order[device] = self._replica_order(itasks, r)
         if opts.cpu_optimizer:
             self._append_host_orders(itasks, replica_device, device_order)
-        return self._finish_plan(
-            itasks, device_order, replica_device, opts.memory_policy()
-        )
+        return self._finish_plan(itasks, device_order, opts.memory_policy())
 
     def _append_host_orders(
         self,

@@ -77,7 +77,6 @@ class HarmonyPP(Scheduler):
         return self._finish_plan(
             itasks,
             device_order,
-            {0: self.gpus[0]},
             opts.memory_policy(),
             notes={"pack_device": pack_device},
         )

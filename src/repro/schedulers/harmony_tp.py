@@ -67,7 +67,7 @@ class HarmonyTP(Scheduler):
             for s in range(self.num_shards)
         }
         return self._finish_plan(
-            itasks, device_order, shard_device, opts.memory_policy(),
+            itasks, device_order, opts.memory_policy(),
             notes={"num_shards": self.num_shards},
         )
 

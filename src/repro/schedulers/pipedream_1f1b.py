@@ -80,7 +80,6 @@ class PipeDream1F1B(Scheduler):
         return self._finish_plan(
             itasks,
             device_order,
-            {0: self.gpus[0]},
             self.policy,
             notes={
                 "stages": stages,

@@ -97,11 +97,9 @@ class PipelineBaseline(Scheduler):
             for pu in itasks.upd_packs_within(s):
                 itasks.upd[(0, pu)].place(device)
             device_order[device] = self._stage_order(itasks, s)
-        replica_device = {0: self.gpus[0]}
         return self._finish_plan(
             itasks,
             device_order,
-            replica_device,
             self.policy,
             notes={"stages": stages, "schedule": self.schedule},
         )

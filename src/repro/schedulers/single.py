@@ -54,6 +54,4 @@ class SingleGpuScheduler(Scheduler):
                 order.append(itasks.bwd[(0, p, mb)].tid)
         for pu in range(len(itasks.packs_upd)):
             order.append(itasks.upd[(0, pu)].tid)
-        return self._finish_plan(
-            itasks, {device: order}, {0: device}, self.policy
-        )
+        return self._finish_plan(itasks, {device: order}, self.policy)

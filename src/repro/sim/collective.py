@@ -4,11 +4,12 @@ A gradient all-reduce over N participants is physically 2(N-1) ring
 rounds of chunk exchanges, but simulating every hop of every round is
 O(world) events per collective — the cost that made large-fleet runs
 quadratic-ish.  :class:`CollectiveOp` resolves the ring *once* per
-participant set (the device subsets come from
-``Plan.collective_subsets`` / the wired participants): each ring hop's
-route through the link hierarchy, the bottleneck bandwidth across all
-hops, and the worst-case hop latency.  A collective then becomes one
-timed event whose duration is the closed form
+participant set (a collective's participants are the owners of its
+per-device shares, which :class:`~repro.sim.plan.Plan` derives from
+placement): each ring hop's route through the link hierarchy, the
+bottleneck bandwidth across all hops, and the worst-case hop latency.
+A collective then becomes one timed event whose duration is the closed
+form
 
     max_hop_latency + comm_bytes / bottleneck_bandwidth
 

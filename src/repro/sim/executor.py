@@ -10,9 +10,9 @@ memory headroom allows, degrading gracefully to serial behaviour when
 it does not — the "memory–performance tango" of the paper's §4.
 
 ALLREDUCE tasks are synchronization points: every participant parks at
-the task, per-replica gradients are made resident on each participant,
-the ring transfer occupies the involved links, and all participants
-resume together.
+the task, makes its share of the collective's tensors resident (the
+plan's ``shares``), the ring transfer occupies the involved links, and
+all participants resume together, each finishing its own share.
 """
 
 from __future__ import annotations
@@ -208,7 +208,6 @@ class Executor:
         self._task_devices = {
             tid: tuple(sorted(devs)) for tid, devs in hosts.items()
         }
-        self._device_of_replica = dict(plan.replica_device)
         self.done: set[int] = set()
         self._arrivals: dict[int, set[str]] = {}
         self._started_collectives: set[int] = set()
@@ -547,26 +546,6 @@ class Executor:
 
     # -- allreduce ----------------------------------------------------------------
 
-    def _tensors_by_device(
-        self, task: Task, participants: list[str]
-    ) -> dict[str, list[int]]:
-        """Each participant's share of ``task``'s tensors: the plan's
-        collective subsets, or else every touched tensor whose replica
-        lives on the participant (in touch order), in one pass over
-        ``task.touched``."""
-        subsets = self.plan.collective_subsets.get(task.tid)
-        if subsets is not None:
-            return {dev: list(subsets.get(dev, ())) for dev in participants}
-        reg = self.plan.registry
-        dev_of = self._device_of_replica.get
-        out: dict[str, list[int]] = {dev: [] for dev in participants}
-        for tid in task.touched:
-            dev = dev_of(reg.by_id(tid).replica)
-            bucket = out.get(dev)
-            if bucket is not None:
-                bucket.append(tid)
-        return out
-
     def _advance_collective(self, dev: str, task: Task) -> None:
         st = self.devstates[dev]
         if st.computing is not None or st.prep_inflight is not None:
@@ -583,13 +562,13 @@ class Executor:
         self._start_allreduce(task)
 
     def _start_allreduce(self, task: Task) -> None:
-        participants = sorted(task.participants)
+        participants = task.participants
+        shares = self.plan.shares[task.tid]
         for dev in participants:
             st = self.devstates[dev]
             st.computing = task.tid
             st.run_idx += 1
         pending = {"chains": len(participants)}
-        subsets = self._tensors_by_device(task, participants)
 
         def chain_done() -> None:
             pending["chains"] -= 1
@@ -616,13 +595,13 @@ class Executor:
                     self.stats.record(
                         dev, comm_kind, Direction.P2P_IN, task.comm_bytes
                     )
-                self.manager.task_finished(task, tensors=subsets[dev])
+                self.manager.task_finished(shares[dev])
                 self.devstates[dev].computing = None
             self.done.add(task.tid)
             self._advance_wakers(task.tid)
 
         for dev in participants:
-            ops = self.manager.prepare(task, dev, tensors=subsets[dev])
+            ops = self.manager.prepare(shares[dev], dev)
             self.transfers.execute_chain(ops, chain_done)
 
     # -- completion --------------------------------------------------------------

@@ -5,6 +5,10 @@ the memory policy to run it under.  Every scheduler in
 :mod:`repro.schedulers` — baseline or Harmony — produces exactly this
 structure, which is what makes optimizations individually toggleable:
 the executor has no idea which scheme it is running.
+
+The plan also derives what placement implies for collectives: it
+splits each one into per-device shares (:func:`collective_shares`), so
+no scheduler says which device contributes which tensors.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.errors import SchedulingError
 from repro.memory.policy import MemoryPolicy
 from repro.tasks.graph import TaskGraph
-from repro.tasks.task import TaskKind
+from repro.tasks.task import Share, TaskKind
 from repro.tensors.registry import TensorRegistry
 
 
@@ -32,31 +36,28 @@ class Plan:
         For each device, the exact order in which it executes its
         tasks.  ALLREDUCE tasks appear in *every* participant's order
         (they are synchronization points).
-    replica_device:
-        Which device hosts each data-parallel replica.
     policy:
         Memory-management policy for the run.
     samples_per_iteration:
         For throughput reporting.
+    shares:
+        Derived on construction, not passed: collective tid ->
+        {participant device -> its :class:`~repro.tasks.task.Share`},
+        in participant order.
     """
 
     label: str
     graph: TaskGraph
     registry: TensorRegistry
     device_order: dict[str, list[int]]
-    replica_device: dict[int, str]
     policy: MemoryPolicy
     samples_per_iteration: int
     microbatch_size: int = 1
     notes: dict[str, object] = field(default_factory=dict)
-    #: For collectives whose participants are not one-device replicas
-    #: (a pipeline replica spans several devices): allreduce tid ->
-    #: {participant device -> tensor ids it contributes}.  Empty for
-    #: the one-device-per-replica schedulers, where the executor infers
-    #: the mapping from ``replica_device``.
-    collective_subsets: dict[int, dict[str, tuple[int, ...]]] = field(
-        default_factory=dict
-    )
+    shares: dict[int, dict[str, Share]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.shares = collective_shares(self.graph, self.label)
 
     def validate(self) -> None:
         """Every task appears in device orders the right number of times
@@ -72,13 +73,14 @@ class Plan:
                             f"task {task.label} ordered on {device} but placed "
                             f"on {task.device}"
                         )
-                elif device not in task.participants:
+                elif device not in self.shares[tid]:
                     raise SchedulingError(
                         f"allreduce {task.label} ordered on non-participant {device}"
                     )
         for task in self.graph:
             expected = (
-                1 if task.kind is TaskKind.COMPUTE else len(task.participants)
+                1 if task.kind is TaskKind.COMPUTE
+                else len(self.shares[task.tid])
             )
             if seen.get(task.tid, 0) != expected:
                 raise SchedulingError(
@@ -86,12 +88,6 @@ class Plan:
                     f"device orders, expected {expected}"
                 )
         self.graph.validate(require_placement=False)
-
-    def device_of_replica(self, replica: int) -> str:
-        try:
-            return self.replica_device[replica]
-        except KeyError:
-            raise SchedulingError(f"no device for replica {replica}") from None
 
     def task_counts(self) -> dict[str, int]:
         """Tasks by phase/kind (fwd/bwd/upd/allreduce) — the shape of
@@ -124,3 +120,50 @@ class Plan:
                 f"  {device}: {len(self.device_order[device])} tasks in order"
             )
         return "\n".join(lines)
+
+
+def collective_shares(
+    graph: TaskGraph, label: str
+) -> dict[int, dict[str, Share]]:
+    """Split every collective of ``graph`` into per-device shares, using
+    only the placement the scheduler made, and set its participants.
+
+    A collective's tensor belongs to the device of the first compute
+    task, in graph order, that touches it: the replica's device under
+    data parallelism, the shard's under harmony-tp, the stage's device
+    in its pipeline under DAPPLE.  Each owner's share lists its tensors
+    in the collective's own touched / writes / frees order, and the
+    participants are the owners, sorted.  The same pass over the compute
+    tasks rejects an unplaced one.
+    """
+    collectives = [t for t in graph if t.kind is TaskKind.ALLREDUCE]
+    pending = {tid for task in collectives for tid in task.touched}
+    owner: dict[int, str] = {}
+    for task in graph:
+        if task.kind is not TaskKind.COMPUTE:
+            continue
+        if task.device is None:
+            raise SchedulingError(f"task {task.label} left unplaced by {label}")
+        claimed = pending.intersection(task.touched)
+        if claimed:
+            owner.update(dict.fromkeys(claimed, task.device))
+            pending -= claimed
+    if pending:
+        raise SchedulingError(
+            f"collective tensors {sorted(pending)[:6]} are touched by no "
+            "compute task, so no device owns them"
+        )
+    shares: dict[int, dict[str, Share]] = {}
+    for task in collectives:
+        dev_of = {tid: owner[tid] for tid in task.touched}
+        parts = {dev: ([], [], []) for dev in sorted(set(dev_of.values()))}
+        for i, tids in enumerate((task.touched, task.writes, task.frees)):
+            for tid in tids:
+                if tid in dev_of:
+                    parts[dev_of[tid]][i].append(tid)
+        task.participants = tuple(parts)
+        shares[task.tid] = {
+            dev: Share(task.label, *map(tuple, lists))
+            for dev, lists in parts.items()
+        }
+    return shares

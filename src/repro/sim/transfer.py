@@ -120,11 +120,17 @@ class TransferEngine:
             return self.topology.route(src_host, op.dst)
         if op.kind is MemOpKind.SWAP_OUT:
             # The manager picks the receiving host (the local one unless
-            # remote_swap spills to a neighbor server); the choice sticks
-            # to the op so fault retries re-ride the same route and
-            # op_finish lands the copy where the bytes actually went.
+            # remote_swap spills to a neighbor server, or the host that
+            # already keeps this tensor's copy); the choice sticks to the
+            # op so fault retries re-ride the same route and op_finish
+            # lands the copy where the bytes actually went.
             if op.host is None:
-                op.host = self.manager.swap_host_for(op.src, op.tensor.size_bytes)
+                manager = self.manager
+                tid = op.tensor.tid
+                rt = manager.runtimes.get(tid) or manager.runtime(tid)
+                op.host = manager.swap_host_for(
+                    op.src, op.tensor.size_bytes, rt.host_device
+                )
             return self.topology.route(op.src, op.host)
         if op.kind is MemOpKind.P2P:
             return self.topology.route(op.src, op.dst)

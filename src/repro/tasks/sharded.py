@@ -57,12 +57,6 @@ class ShardedIterationTasks:
     grad_coll: dict[tuple[int, int], Task] = field(default_factory=dict)
 
     @property
-    def num_replicas(self) -> int:
-        """Shards play the role replicas play elsewhere: the index that
-        maps tensors and collective participants to devices."""
-        return self.num_shards
-
-    @property
     def samples_per_iteration(self) -> int:
         # One logical replica: shards cooperate on the same microbatches.
         return self.num_microbatches * self.microbatch_size

@@ -10,6 +10,7 @@ over a list of tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import SchedulingError
 from repro.models.phases import Phase
@@ -54,7 +55,9 @@ class Task:
     comm_bytes:
         Per-participant communication volume (ALLREDUCE tasks).
     participants:
-        Device names taking part in an ALLREDUCE.
+        Device names taking part in an ALLREDUCE: the sorted owners of
+        its shares, set when the plan is assembled (see
+        :class:`~repro.sim.plan.Plan`).
     deps:
         Task ids that must complete before this task may start.
     device:
@@ -132,3 +135,15 @@ class Task:
     def __str__(self) -> str:
         where = self.device or "?"
         return f"{self.label}@{where}"
+
+
+class Share(NamedTuple):
+    """One participant's part of a collective: the tensors it makes
+    resident, marks written and frees.  It carries the same four
+    attributes the memory manager reads from a :class:`Task`, so
+    ``MemoryManager.prepare`` and ``task_finished`` take either."""
+
+    label: str
+    touched: tuple[int, ...]
+    writes: tuple[int, ...]
+    frees: tuple[int, ...]

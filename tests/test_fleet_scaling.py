@@ -1,6 +1,7 @@
-"""Fleet-scale guarantees: size-independent per-event cost, analytic
-collectives held to their closed form, rack-scale topologies with
-cached tree routing, and remote host-RAM swaps.
+"""Fleet-scale guarantees: size-independent per-event cost (timed, and
+counted in executed source lines), analytic collectives held to their
+closed form, rack-scale topologies with cached tree routing, and remote
+host-RAM swaps.
 
 The closed-form tests are the load-bearing ones: the analytic
 collective layer replaced O(world) simulated ring hops with one timed
@@ -8,18 +9,22 @@ event, and these tests recompute that event's window from the
 topology's routes and hold the transfer engine to it *bitwise*.
 """
 
+import os
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.core.config import HarmonyConfig, Parallelism
 from repro.core.session import HarmonySession
 from repro.errors import SimulationError
 from repro.hardware import presets
 from repro.hardware.presets import rack_cluster
-from repro.memory.manager import MemoryManager
+from repro.memory.manager import MemoryManager, MemOpKind
 from repro.memory.policy import MemoryPolicy
 from repro.models import zoo
+from repro.perf import bench
 from repro.schedulers import BatchConfig, build_scheduler
 from repro.sim.collective import ring_collective
 from repro.sim.engine import Engine, ResourceTimeline
@@ -65,6 +70,54 @@ class TestPerEventCost:
         per_dev64 = r64.events_processed / 64
         per_dev256 = r256.events_processed / 256
         assert per_dev256 == pytest.approx(per_dev64, rel=0.05)
+
+
+class TestLinesPerEvent:
+    """Executed ``repro`` source lines per simulated event.  It is a
+    count, not a timing, so it is the same on every host and every run.
+    A loop inside one frame makes no Python calls, so per-event call
+    counts stay flat while such a loop grows with the fleet; line
+    events see it.  C-level scans (``in`` on a tuple, ``sorted``) stay
+    invisible here, which is why the timed floors above remain."""
+
+    @staticmethod
+    def _lines_per_event(num_gpus):
+        model, topology, config = bench._fleet_workload(num_gpus)
+        session = HarmonySession(model, topology, config)
+        session.plan()  # planning makes no events; count the run only
+        root = os.path.dirname(repro.__file__) + os.sep
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def enter(frame, event, arg):
+            if frame.f_code.co_filename.startswith(root):
+                return count_lines
+            return None
+
+        sys.settrace(enter)
+        try:
+            result = session.run()
+        finally:
+            sys.settrace(None)
+        return lines / result.events_processed
+
+    def test_lines_per_event_flat_in_fleet_size(self):
+        """From 16 to 128 GPUs lines per event may grow by at most 3%.
+        A collective that rescans every participant's tensors for each
+        participant grew them by 8.5% over the same span; splitting
+        collectives into per-device shares once per plan holds them
+        flat (0.5% lower at 128)."""
+        small = self._lines_per_event(16)
+        large = self._lines_per_event(128)
+        assert large <= 1.03 * small, (
+            f"lines per event grew {large / small:.3f}x from 16 to 128 "
+            f"GPUs ({small:.1f} -> {large:.1f})"
+        )
 
 
 class TestClosedFormCollective:
@@ -313,13 +366,35 @@ class TestRemoteSwap:
         """The host ledger steers the spill target, so it is part of
         the state an iteration carries: fast-forward must not skip
         iterations that only the ledger tells apart."""
-        off = self._spilling_run("off")
+        _assert_same_run(self._spilling_run("auto"), self._spilling_run("off"))
+
+    def test_write_backs_keep_their_host(self, monkeypatch):
+        """A write-back replaces the tensor's copy on the host that
+        keeps it, so that copy counts as room there: once cpu0 fills,
+        no weight's copy moves to cpu1 just to be rewritten."""
+        writebacks = []
+        finish = MemoryManager.op_finish
+
+        def watched(manager, op):
+            rt = manager.runtime(op.tensor.tid)
+            before = rt.host_device
+            finish(manager, op)
+            if op.kind is MemOpKind.SWAP_OUT and op.tensor.persistent:
+                writebacks.append((before, rt.host_device))
+
+        monkeypatch.setattr(MemoryManager, "op_finish", watched)
+        self._spilling_run("off")
+        moved = [(a, b) for a, b in writebacks if a is not None and a != b]
+        assert len(writebacks) > 1000
+        assert moved == []
+
+    def test_spilling_run_fast_forwards(self):
+        """With every copy staying on its host, the spilling run reaches
+        a steady state: ``auto`` skips iterations and still equals
+        ``off`` bitwise."""
         auto = self._spilling_run("auto")
-        assert auto.makespan == off.makespan
-        assert dict(auto.stats._volume) == dict(off.stats._volume)
-        assert dict(auto.stats._events) == dict(off.stats._events)
-        assert auto.link_busy == off.link_busy
-        assert auto.trace.expanded().events == off.trace.events
+        assert auto.steady.skipped > 0
+        _assert_same_run(auto, self._spilling_run("off"))
 
     def test_host_ledger_counts_live_copies_at_every_boundary(
         self, monkeypatch
@@ -348,6 +423,14 @@ class TestRemoteSwap:
         assert MemoryPolicy().remote_swap is False
         assert HarmonyOptions().memory_policy().remote_swap is False
         assert HarmonyOptions(remote_swap=True).memory_policy().remote_swap
+
+
+def _assert_same_run(auto, off):
+    assert auto.makespan == off.makespan
+    assert dict(auto.stats._volume) == dict(off.stats._volume)
+    assert dict(auto.stats._events) == dict(off.stats._events)
+    assert auto.link_busy == off.link_busy
+    assert auto.trace.expanded().events == off.trace.events
 
 
 def _host_ledger(manager):

@@ -8,9 +8,9 @@ Three families of checks:
   interleaving, and — to prove the invariant has teeth — GPipe's
   violation of the same bound.
 * **Hybrid layout** — DAPPLE with ``num_pipelines > 1`` carves GPUs
-  into contiguous pipeline replicas with per-stage allreduce rings
-  described via ``Plan.collective_subsets``; the whole thing must run
-  and audit clean.
+  into contiguous pipeline replicas with per-stage allreduce rings,
+  whose shares the plan derives from placement alone; the whole thing
+  must run and audit clean.
 * **Registry contracts** — the unknown-scheme error enumerates every
   registered name, and the ``Parallelism`` enum mirrors the registry
   one-for-one.
@@ -190,11 +190,11 @@ class TestDappleHybrid:
             assert len(ring.participants) == sched.num_pipelines
             indices = sorted(sched.gpus.index(d) for d in ring.participants)
             assert indices[1] - indices[0] == sched.num_stages
-            # The executor learns which gradient shards live where from
-            # the plan's collective subsets, not from replica_device.
-            subset = plan.collective_subsets[ring.tid]
-            assert set(subset) == set(ring.participants)
-            assert all(subset[d] for d in ring.participants)
+            # Each stage device contributes its own pipeline's gradient
+            # shard: the plan's shares follow placement.
+            shares = plan.shares[ring.tid]
+            assert tuple(shares) == ring.participants
+            assert all(share.touched for share in shares.values())
 
     def test_hybrid_runs_and_audits_clean(self):
         model, topo, sched = self.build(m=2)

@@ -60,7 +60,12 @@ class TestSingleGpu:
 class TestDpBaseline:
     def test_replica_per_gpu(self, model, topo2):
         plan = DataParallelBaseline(model, topo2, BatchConfig(1, 1)).plan()
-        assert plan.replica_device == {0: "gpu0", 1: "gpu1"}
+        placed = {
+            (t.replica, t.device)
+            for t in plan.graph
+            if t.kind is TaskKind.COMPUTE
+        }
+        assert placed == {(0, "gpu0"), (1, "gpu1")}
 
     def test_allreduce_in_both_orders(self, model, topo2):
         plan = DataParallelBaseline(model, topo2, BatchConfig(1, 1)).plan()

@@ -120,17 +120,11 @@ class TestPlanValidation:
             label="bad", graph=graph,
             registry=TensorRegistry(model, 1),
             device_order={"gpu0": [0]},
-            replica_device={0: "gpu0"},
             policy=MemoryPolicy.harmony(),
             samples_per_iteration=1,
         )
         with pytest.raises(SchedulingError):
             plan.validate()
-
-    def test_device_of_replica(self, plan):
-        assert plan.device_of_replica(0) == "gpu0"
-        with pytest.raises(SchedulingError):
-            plan.device_of_replica(7)
 
 
 class TestMemoryProfile:
