@@ -52,7 +52,7 @@ because results always come back in submission order.
 control the content-addressed run cache (see ``docs/INTERNALS.md``,
 Performance).
 
-``compare``, ``tune`` and ``faults`` accept ``--steady-state
+``compare`` and ``tune`` accept ``--steady-state
 {auto,off,force}``: ``auto`` (the default) detects when an iteration
 replays its predecessor bit-for-bit and fast-forwards the remaining
 iterations analytically (``repro.steady``), ``off`` simulates every
@@ -825,7 +825,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     faults_p = sub.add_parser(
-        "faults", parents=[jobs_parent, journal_parent, steady_parent],
+        "faults", parents=[jobs_parent, journal_parent],
         help="MTTF sweep: goodput degradation under fault injection",
     )
     faults_p.add_argument(
@@ -980,13 +980,6 @@ def main(argv: list[str] | None = None) -> int:
     # The exact argv, recorded in the journal header so `repro resume`
     # can re-invoke the interrupted command.
     args._argv = raw_argv
-    if hasattr(args, "steady_state"):
-        # Process-wide default so experiment code that builds configs
-        # internally (faults sweeps) honors the flag; configs that set
-        # steady_state explicitly (compare) still win.
-        from repro.steady import set_default_mode
-
-        set_default_mode(args.steady_state or "auto")
     handlers = {
         "figures": cmd_figures,
         "zoo": cmd_zoo,

@@ -90,9 +90,11 @@ class HarmonyConfig:
         Steady-state fast-forward mode — ``"auto"`` (detect periodicity
         and skip proven-identical iterations analytically), ``"off"``
         (full-fidelity simulation of every iteration), or ``"force"``
-        (error unless fast-forward engaged).  ``None`` inherits the
-        process default (the CLI's ``--steady-state``).  Fault plans
-        veto fast-forward wholesale; see :mod:`repro.steady`.
+        (error unless fast-forward engaged).  ``None`` means
+        ``"auto"``.  Fault plans veto fast-forward wholesale (every
+        fault segment simulates one iteration, and ``"force"`` with a
+        fault plan is a :class:`~repro.errors.ConfigError`); see
+        :mod:`repro.steady`.
     """
 
     parallelism: Parallelism | str = Parallelism.HARMONY_PP

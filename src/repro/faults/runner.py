@@ -526,8 +526,8 @@ def run_resilient(
 
     Every segment simulates one iteration, so nothing is ever
     fast-forwarded: ``result.steady`` records the veto, and a
-    ``force`` steady-state mode (from ``config`` or the process
-    default) is a :class:`~repro.errors.ConfigError`."""
+    ``force`` steady-state mode in ``config`` is a
+    :class:`~repro.errors.ConfigError`."""
     mode = resolve_mode(config.steady_state)
     if mode is SteadyMode.FORCE:
         raise ConfigError(

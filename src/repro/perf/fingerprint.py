@@ -160,10 +160,11 @@ def base_fingerprint(
     ``iterations`` is stripped from the canonical form.
 
     The *resolved* steady-state mode is mixed in instead of the raw
-    ``steady_state`` field: ``None`` inherits a process-global default
-    (:func:`repro.steady.resolve_mode`), and an ``off`` run must never
-    restore a snapshot whose donor was detecting cycles (or vice versa)
-    — the detection metadata carried by the snapshot differs.
+    ``steady_state`` field: ``None`` and ``"auto"`` are the same mode
+    (:func:`repro.steady.resolve_mode`) and share snapshots, and an
+    ``off`` run must never restore a snapshot whose donor was detecting
+    cycles (or vice versa) — the detection metadata carried by the
+    snapshot differs.
     """
     from repro.steady import resolve_mode
 

@@ -69,12 +69,11 @@ class Scheduler(abc.ABC):
         policy: MemoryPolicy,
         notes: dict | None = None,
     ) -> Plan:
-        """Assemble the plan.  Collectives need no wiring here: the plan
-        splits each into per-device shares from the placement this
-        scheduler made, and rejects an unplaced compute task."""
-        # Not validated here: the executor validates every plan it is
-        # given (Plan.validate walks the whole graph and device orders,
-        # and running it twice per simulation is measurable).
+        """Assemble the plan, which checks itself once as it is built:
+        order against placement, share owners, dependency ids and
+        acyclicity.  Collectives need no wiring here: the plan splits
+        each into per-device shares from the placement this scheduler
+        made, and rejects an unplaced compute task."""
         return Plan(
             label=self.name,
             graph=itasks.graph,

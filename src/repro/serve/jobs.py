@@ -70,7 +70,10 @@ class JobSpec:
     scheme: str = "harmony-pp"
     #: ``sweep`` only: schemes to run (``None`` = the full registry).
     schemes: tuple[str, ...] | None = None
+    #: Iterations per run (``tune``: per probe, the search's
+    #: ``profile_iterations``).
     iterations: int = 1
+    #: Not on ``faults`` jobs, whose segments run one iteration each.
     steady_state: str | None = None
     #: ``faults`` only.
     mttf: tuple[float, ...] = (float("inf"), 8.0, 4.0, 2.5)
@@ -145,6 +148,11 @@ def parse_job(payload: Any) -> JobSpec:
 
     steady_state = payload.get("steady_state")
     if steady_state is not None:
+        _require(
+            kind != "faults",
+            "steady_state does not apply to faults jobs: every fault "
+            "segment simulates one iteration",
+        )
         _require(
             steady_state in ("auto", "off", "force"),
             f"steady_state must be auto/off/force, got {steady_state!r}",
@@ -342,6 +350,8 @@ def execute_job(
             batch.per_replica_batch,
             cache=cache,
             supervisor=supervisor,
+            profile_iterations=spec.iterations,
+            steady_state=spec.steady_state,
         )
         return {
             "kind": spec.kind,

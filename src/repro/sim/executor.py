@@ -69,8 +69,8 @@ class ExecOptions:
         ``iterations == 1``: fault daemons are armed in absolute time.
     steady_state:
         Steady-state fast-forward mode (``"auto"``/``"off"``/``"force"``
-        or a :class:`~repro.steady.SteadyMode`); ``None`` inherits the
-        process default (see :func:`repro.steady.resolve_mode`).
+        or a :class:`~repro.steady.SteadyMode`); ``None`` means
+        ``"auto"`` (see :func:`repro.steady.resolve_mode`).
         Detection and the ``force`` check apply only when
         ``iterations > 1``: a one-iteration run has no boundary to
         detect at.
@@ -131,7 +131,7 @@ class _Clock:
 @dataclass(slots=True)
 class _DeviceState:
     name: str
-    order: list[int]
+    order: tuple[int, ...]
     run_idx: int = 0
     computing: int | None = None
     prep_inflight: int | None = None
@@ -146,7 +146,8 @@ class Executor:
         cost_model: CostModel | None = None,
         options: ExecOptions | None = None,
     ):
-        plan.validate()
+        # A Plan is consistent by construction (Plan.__post_init__
+        # validates it), so the executor trusts it.
         self.topology = topology
         self.plan = plan
         self.cost = cost_model if cost_model is not None else CostModel()
@@ -172,13 +173,13 @@ class Executor:
         if self.injector is not None:
             self.injector.arm(self.engine, self.manager.pools)
         self.devstates = {
-            dev: _DeviceState(dev, list(order))
+            dev: _DeviceState(dev, order)
             for dev, order in plan.device_order.items()
         }
         # Frozen sorted view: every iteration starts by advancing each
         # device, and the device set never changes mid-run.
         self._device_names = tuple(sorted(self.devstates))
-        self._tasks = plan.graph.tasks  # validated: every ordered tid exists
+        self._tasks = plan.graph.tasks  # every ordered tid exists
         # Targeted wake-up state.  The scheduling loop used to rescan
         # every device after every completion (O(devices) per task, with
         # an O(deps) subset check per device) — quadratic on wide
@@ -193,13 +194,13 @@ class Executor:
         # would have no-opped on it; wakes stay in sorted device order,
         # so the event stream is bit-identical.
         self._dep_template = {
-            tid: len(t.all_deps) for tid, t in self._tasks.items()
+            tid: len(t.deps) for tid, t in self._tasks.items()
         }
         self._dep_missing = dict(self._dep_template)
         rdeps: dict[int, list[int]] = {}
         hosts: dict[int, set[str]] = {}
         for tid, t in self._tasks.items():
-            for dep in t.all_deps:
+            for dep in t.deps:
                 rdeps.setdefault(dep, []).append(tid)
         for dev in self._device_names:
             for tid in self.devstates[dev].order:
@@ -554,7 +555,7 @@ class Executor:
             return
         arrivals = self._arrivals.setdefault(task.tid, set())
         arrivals.add(dev)
-        if len(arrivals) != len(task.participants):
+        if len(arrivals) != len(self.plan.shares[task.tid]):
             return
         if task.tid in self._started_collectives:
             return
@@ -562,8 +563,8 @@ class Executor:
         self._start_allreduce(task)
 
     def _start_allreduce(self, task: Task) -> None:
-        participants = task.participants
         shares = self.plan.shares[task.tid]
+        participants = tuple(shares)
         for dev in participants:
             st = self.devstates[dev]
             st.computing = task.tid
@@ -614,7 +615,7 @@ class Executor:
             st = self.devstates[dev]
             if st.run_idx < len(st.order):
                 task = self.plan.graph.task(st.order[st.run_idx])
-                missing = sorted(task.all_deps - self.done)
+                missing = sorted(task.deps - self.done)
                 diagnostics.append(
                     f"{dev}: stuck at {task.label} (missing deps {missing[:6]})"
                 )

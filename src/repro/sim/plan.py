@@ -8,7 +8,10 @@ the executor has no idea which scheme it is running.
 
 The plan also derives what placement implies for collectives: it
 splits each one into per-device shares (:func:`collective_shares`), so
-no scheduler says which device contributes which tensors.
+no scheduler says which device contributes which tensors, and a
+collective's participants are its share owners.  A plan is checked
+once, when it is built; code that wants a different plan builds a new
+one (``dataclasses.replace``), which is checked again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from repro.tensors.registry import TensorRegistry
 
 @dataclass
 class Plan:
-    """Scheduler output.
+    """Scheduler output.  Construction freezes each device order to a
+    tuple, derives the collective shares and runs :meth:`validate`, so
+    an inconsistent plan raises :class:`~repro.errors.SchedulingError`
+    from its constructor and the executor trusts any plan that exists.
 
     Attributes
     ----------
@@ -34,8 +40,8 @@ class Plan:
         The task graph and its tensor registry.
     device_order:
         For each device, the exact order in which it executes its
-        tasks.  ALLREDUCE tasks appear in *every* participant's order
-        (they are synchronization points).
+        tasks (a tuple once built).  ALLREDUCE tasks appear in *every*
+        participant's order (they are synchronization points).
     policy:
         Memory-management policy for the run.
     samples_per_iteration:
@@ -43,13 +49,13 @@ class Plan:
     shares:
         Derived on construction, not passed: collective tid ->
         {participant device -> its :class:`~repro.tasks.task.Share`},
-        in participant order.
+        in participant order: a collective's participants are the keys.
     """
 
     label: str
     graph: TaskGraph
     registry: TensorRegistry
-    device_order: dict[str, list[int]]
+    device_order: dict[str, tuple[int, ...]]
     policy: MemoryPolicy
     samples_per_iteration: int
     microbatch_size: int = 1
@@ -57,11 +63,17 @@ class Plan:
     shares: dict[int, dict[str, Share]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.device_order = {
+            dev: tuple(order) for dev, order in self.device_order.items()
+        }
         self.shares = collective_shares(self.graph, self.label)
+        self.validate()
 
     def validate(self) -> None:
         """Every task appears in device orders the right number of times
-        and placements are consistent."""
+        (compute tasks once, on their device; collectives once on each
+        share owner), and the graph's dependency ids are known and
+        acyclic."""
         seen: dict[int, int] = {}
         for device, order in self.device_order.items():
             for tid in order:
@@ -87,7 +99,7 @@ class Plan:
                     f"task {task.label} appears {seen.get(task.tid, 0)} times in "
                     f"device orders, expected {expected}"
                 )
-        self.graph.validate(require_placement=False)
+        self.graph.validate()
 
     def task_counts(self) -> dict[str, int]:
         """Tasks by phase/kind (fwd/bwd/upd/allreduce) — the shape of
@@ -126,7 +138,7 @@ def collective_shares(
     graph: TaskGraph, label: str
 ) -> dict[int, dict[str, Share]]:
     """Split every collective of ``graph`` into per-device shares, using
-    only the placement the scheduler made, and set its participants.
+    only the placement the scheduler made.
 
     A collective's tensor belongs to the device of the first compute
     task, in graph order, that touches it: the replica's device under
@@ -161,7 +173,6 @@ def collective_shares(
             for tid in tids:
                 if tid in dev_of:
                     parts[dev_of[tid]][i].append(tid)
-        task.participants = tuple(parts)
         shares[task.tid] = {
             dev: Share(task.label, *map(tuple, lists))
             for dev, lists in parts.items()

@@ -36,9 +36,7 @@ __all__ = [
     "SteadyMode",
     "SteadyReport",
     "fold_repeat",
-    "default_mode",
     "resolve_mode",
-    "set_default_mode",
 ]
 
 
@@ -75,24 +73,9 @@ class SteadyMode(enum.Enum):
             ) from None
 
 
-#: Process-wide default for runs that leave ``steady_state=None`` — the
-#: CLI's ``--steady-state`` sets this so figure sections that build
-#: their configs internally still honor the flag.
-_DEFAULT_MODE = SteadyMode.AUTO
-
-
-def set_default_mode(mode: SteadyMode | str) -> None:
-    global _DEFAULT_MODE
-    _DEFAULT_MODE = SteadyMode.parse(mode)
-
-
-def default_mode() -> SteadyMode:
-    return _DEFAULT_MODE
-
-
 def resolve_mode(value: "SteadyMode | str | None") -> SteadyMode:
-    """The effective mode for a config value (``None`` = process default)."""
-    return _DEFAULT_MODE if value is None else SteadyMode.parse(value)
+    """The effective mode for a config value (``None`` = ``auto``)."""
+    return SteadyMode.AUTO if value is None else SteadyMode.parse(value)
 
 
 @dataclass(frozen=True)

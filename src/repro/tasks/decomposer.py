@@ -14,9 +14,10 @@ Dataflow dependencies are derived from the tensor roles of Fig. 5(a):
 forward produces activations and stashes, backward consumes stashes and
 accumulates weight gradients, update folds gradients into weights and
 optimizer state.  Gradient accumulation is an in-place mutation of a
-shared dW buffer, so the decomposer adds ordering edges between
-successive backward tasks of the same layer pack — the paper's
-observation that SGD's mutable state prevents treating tasks as pure.
+shared dW buffer, so each backward task also depends on the same layer
+pack's backward for the previous microbatch — the paper's observation
+that SGD's mutable state prevents treating tasks as pure.  That edge is
+part of the task's ``deps`` from the start; nothing adds edges later.
 """
 
 from __future__ import annotations
@@ -138,9 +139,6 @@ class Decomposer:
     sync_gradients:
         Whether to emit per-layer-pack ALLREDUCE tasks (DP with > 1
         replica).
-    accumulate_ordering:
-        Add ordering edges serializing backward tasks that share a dW
-        buffer (required for in-place accumulation; on by default).
     """
 
     def __init__(
@@ -153,7 +151,6 @@ class Decomposer:
         packs_bwd: Packs | None = None,
         packs_upd: Packs | None = None,
         sync_gradients: bool = True,
-        accumulate_ordering: bool = True,
         recompute: bool = False,
         zero_optimizer: bool = False,
     ):
@@ -179,7 +176,6 @@ class Decomposer:
                 "(the checkpoint is the pack's input activation)"
             )
         self.sync_gradients = sync_gradients and num_replicas > 1
-        self.accumulate_ordering = accumulate_ordering
         #: ZeRO stage-1 (paper-cited optimizer-state sharding): each
         #: replica holds 1/N of the optimizer state, updates its slice
         #: of the weights, and an all-gather rebuilds full weights.
@@ -218,7 +214,6 @@ class Decomposer:
             self._emit_allreduce(itasks)
         for replica in range(self.num_replicas):
             self._emit_update(itasks, replica)
-        graph.validate(require_placement=False)
         return itasks
 
     # -- forward ------------------------------------------------------------
@@ -347,6 +342,10 @@ class Decomposer:
                 # whose pack covers any of this pack's layers.
                 for fp in covering[p]:
                     deps.add(itasks.fwd[(replica, fp, mb)].tid)
+                if mb > 0:
+                    # In-place accumulation into the shared dW buffer
+                    # serializes the pack's backward across microbatches.
+                    deps.add(itasks.bwd[(replica, p, mb - 1)].tid)
                 flops = bwd_flops[p]
                 task = Task(
                     tid=self._tid(),
@@ -362,8 +361,6 @@ class Decomposer:
                     flops=flops,
                     deps=frozenset(deps),
                 )
-                if self.accumulate_ordering and mb > 0:
-                    task.add_dep(itasks.bwd[(replica, p, mb - 1)].tid)
                 itasks.graph.add(task)
                 itasks.bwd[(replica, p, mb)] = task
 
@@ -391,7 +388,6 @@ class Decomposer:
                 reads=tuple(tensors),
                 writes=tuple(tensors),
                 comm_bytes=2.0 * (n - 1) / n * grad_bytes,
-                participants=tuple(f"replica{r}" for r in range(n)),
                 deps=deps,
             )
             itasks.graph.add(task)
@@ -462,7 +458,6 @@ class Decomposer:
                 reads=tuple(tensors),
                 writes=tuple(tensors),
                 comm_bytes=(n - 1) / n * weight_bytes,
-                participants=tuple(f"replica{r}" for r in range(n)),
                 deps=frozenset(itasks.upd[(r, p)].tid for r in range(n)),
             )
             itasks.graph.add(task)

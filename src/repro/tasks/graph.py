@@ -1,10 +1,12 @@
 """Task dependency graph with structural validation.
 
-The graph is append-only: the decomposer adds tasks, schedulers add
-placement and extra ordering edges.  :meth:`TaskGraph.validate` checks
-the invariants the executor relies on (acyclicity, placed tasks, known
-dependency ids); :meth:`TaskGraph.topo_order` provides a deterministic
-topological order used by analyses and tests.
+The graph is append-only: the decomposer adds tasks with their whole
+dependency sets, and schedulers add only placement — no edge is added
+after a task is built.  :meth:`TaskGraph.validate` checks the
+invariants the executor relies on (known dependency ids, acyclicity);
+a :class:`~repro.sim.plan.Plan` runs it once, when it is built.
+:meth:`TaskGraph.topo_order` provides a deterministic topological order
+used by analyses and tests.
 """
 
 from __future__ import annotations
@@ -47,25 +49,24 @@ class TaskGraph:
         """Map from task id to the ids depending on it."""
         succ: dict[int, list[int]] = {tid: [] for tid in self.tasks}
         for task in self.tasks.values():
-            for dep in task.all_deps:
+            for dep in task.deps:
                 succ[dep].append(task.tid)
         return succ
 
-    def validate(self, require_placement: bool = True) -> None:
-        """Check ids, placement, and acyclicity."""
+    def validate(self) -> None:
+        """Check dependency ids and acyclicity (a self-dependency is a
+        cycle of one)."""
         for task in self.tasks.values():
-            for dep in task.all_deps:
+            for dep in task.deps:
                 if dep not in self.tasks:
                     raise SchedulingError(
                         f"task {task.label}: dependency on unknown task {dep}"
                     )
-            if require_placement and task.device is None:
-                raise SchedulingError(f"task {task.label}: not placed on a device")
         self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[Task]:
         """Kahn's algorithm with deterministic (task-id) tie-breaking."""
-        indegree = {tid: len(t.all_deps) for tid, t in self.tasks.items()}
+        indegree = {tid: len(t.deps) for tid, t in self.tasks.items()}
         succ = self.successors()
         ready = deque(sorted(tid for tid, deg in indegree.items() if deg == 0))
         order: list[Task] = []
@@ -87,6 +88,6 @@ class TaskGraph:
         load-balance diagnostics."""
         finish: dict[int, float] = {}
         for task in self.topo_order():
-            start = max((finish[d] for d in task.all_deps), default=0.0)
+            start = max((finish[d] for d in task.deps), default=0.0)
             finish[task.tid] = start + duration(task)
         return max(finish.values(), default=0.0)

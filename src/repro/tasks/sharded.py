@@ -78,7 +78,6 @@ class ShardedDecomposer:
         microbatch_size: int,
         num_microbatches: int,
         num_shards: int,
-        accumulate_ordering: bool = True,
     ):
         if num_microbatches < 1:
             raise SchedulingError("num_microbatches must be >= 1")
@@ -88,7 +87,6 @@ class ShardedDecomposer:
         self.microbatch_size = microbatch_size
         self.num_microbatches = num_microbatches
         self.num_shards = num_shards
-        self.accumulate_ordering = accumulate_ordering
         self._next_tid = 0
 
     def _tid(self) -> int:
@@ -111,7 +109,6 @@ class ShardedDecomposer:
         self._emit_forward(itasks)
         self._emit_backward(itasks)
         self._emit_update(itasks)
-        itasks.graph.validate(require_placement=False)
         return itasks
 
     # -- forward -------------------------------------------------------------
@@ -188,7 +185,6 @@ class ShardedDecomposer:
             writes=tuple(fulls),
             frees=tuple(parts),
             comm_bytes=(s_count - 1) / s_count * out_bytes,
-            participants=tuple(f"shard{s}" for s in range(s_count)),
             deps=frozenset(
                 itasks.fwd[(s, layer, mb)].tid for s in range(s_count)
             ),
@@ -228,6 +224,9 @@ class ShardedDecomposer:
                         else:
                             writes.append(reg.act_grad(layer - 1, mb, s).tid)
                     deps.add(itasks.fwd[(s, layer, mb)].tid)
+                    if mb > 0:
+                        # In-place accumulation into the shard's dW.
+                        deps.add(itasks.bwd[(s, layer, mb - 1)].tid)
                     task = Task(
                         tid=self._tid(),
                         kind=TaskKind.COMPUTE,
@@ -243,8 +242,6 @@ class ShardedDecomposer:
                         / s_count,
                         deps=frozenset(deps),
                     )
-                    if self.accumulate_ordering and mb > 0:
-                        task.add_dep(itasks.bwd[(s, layer, mb - 1)].tid)
                     itasks.graph.add(task)
                     itasks.bwd[(s, layer, mb)] = task
                 if s_count > 1 and layer > 0:
@@ -271,7 +268,6 @@ class ShardedDecomposer:
             writes=tuple(fulls),
             frees=tuple(parts),
             comm_bytes=2 * (s_count - 1) / s_count * grad_bytes,
-            participants=tuple(f"shard{s}" for s in range(s_count)),
             deps=frozenset(
                 itasks.bwd[(s, boundary + 1, mb)].tid for s in range(s_count)
             ),

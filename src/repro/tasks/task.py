@@ -2,9 +2,10 @@
 
 A :class:`Task` is deliberately close to the paper's notion — a
 (phase, layer-pack, microbatch, replica) tuple with explicit tensor
-reads/writes — so the scheduler's decisions (placement, ordering,
-grouping, packing) are all expressible as plain data transformations
-over a list of tasks.
+reads/writes and dependencies, and no device.  The decomposer fixes
+everything but the device; a scheduler adds only the binding and each
+device's order, so its decisions (placement, ordering, grouping,
+packing) are plain data over a list of tasks.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ class Task:
     flops:
         Total compute work (COMPUTE tasks).
     comm_bytes:
-        Per-participant communication volume (ALLREDUCE tasks).
-    participants:
-        Device names taking part in an ALLREDUCE: the sorted owners of
-        its shares, set when the plan is assembled (see
+        Per-device communication volume (ALLREDUCE tasks), on each
+        owner of the shares the plan derives from placement (see
         :class:`~repro.sim.plan.Plan`).
     deps:
-        Task ids that must complete before this task may start.
+        Task ids that must complete before this task may start: the
+        whole dependency set, dataflow and in-place accumulation
+        ordering alike, fixed when the decomposer builds the task.
     device:
         Placement, assigned by the scheduler (late binding: ``None``
-        until then).
+        until then) — the only field set after decomposition.
     """
 
     tid: int
@@ -77,17 +78,12 @@ class Task:
     frees: tuple[int, ...] = ()
     flops: float = 0.0
     comm_bytes: float = 0.0
-    participants: tuple[str, ...] = ()
     deps: frozenset[int] = frozenset()
     device: str | None = None
     samples: int = 0
-    _extra_deps: set[int] = field(default_factory=set, repr=False)
-    # Lazily-built caches for the two derived views the executor reads
-    # on every wake-up; ``add_dep`` is the only mutation that can
-    # invalidate them (reads/writes/deps are fixed at construction).
-    _all_deps_cache: frozenset[int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # Lazily-built cache of the derived view the memory manager reads
+    # for every task it prepares (reads/writes are fixed at
+    # construction, so it never goes stale).
     _touched_cache: tuple[int, ...] | None = field(
         default=None, repr=False, compare=False
     )
@@ -95,30 +91,8 @@ class Task:
     def __post_init__(self) -> None:
         if self.kind is TaskKind.COMPUTE and self.phase is None:
             raise SchedulingError(f"task {self.label}: compute tasks need a phase")
-        if self.kind is TaskKind.ALLREDUCE and not self.participants:
-            raise SchedulingError(f"task {self.label}: allreduce needs participants")
         if self.flops < 0 or self.comm_bytes < 0:
             raise SchedulingError(f"task {self.label}: negative work")
-
-    @property
-    def all_deps(self) -> frozenset[int]:
-        cached = self._all_deps_cache
-        if cached is None:
-            cached = (
-                frozenset(self.deps | self._extra_deps)
-                if self._extra_deps
-                else self.deps
-            )
-            self._all_deps_cache = cached
-        return cached
-
-    def add_dep(self, tid: int) -> None:
-        """Add a scheduling-induced dependency (e.g. gradient-accumulation
-        ordering) on top of the dataflow dependencies."""
-        if tid == self.tid:
-            raise SchedulingError(f"task {self.label}: self-dependency")
-        self._extra_deps.add(tid)
-        self._all_deps_cache = None
 
     @property
     def touched(self) -> tuple[int, ...]:

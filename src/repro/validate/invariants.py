@@ -390,15 +390,13 @@ def check_dependency_order(result: RunResult, plan: Plan) -> list[AuditViolation
 
     def occurrences(task) -> list[TraceEvent]:
         events = grouped.get(task.label, [])
-        if task.kind is TaskKind.ALLREDUCE and task.participants:
-            # One traced copy per participant per iteration.
-            step = len(task.participants)
-            return [events[i] for i in range(0, len(events), step)]
-        return events
+        # A collective has one traced copy per participant per iteration.
+        step = len(plan.shares.get(task.tid, ()))
+        return events[::step] if step else events
 
     for task in plan.graph:
         task_events = occurrences(task)
-        for dep_tid in task.all_deps:
+        for dep_tid in task.deps:
             dep = plan.graph.task(dep_tid)
             dep_events = occurrences(dep)
             for i, event in enumerate(task_events):
@@ -438,7 +436,7 @@ def check_task_coverage(
             expected = iterations
             tolerate_zero = False
         else:
-            expected = iterations * len(task.participants)
+            expected = iterations * len(plan.shares[task.tid])
             tolerate_zero = True  # sub-latency collectives are untraced
         if count != expected and not (tolerate_zero and count == 0):
             violations.append(

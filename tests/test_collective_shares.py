@@ -75,8 +75,7 @@ def _device_by_layout(sched, plan, meta):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_shares_follow_the_layout(case):
     sched = CASES[case]()
-    plan = sched.plan()
-    plan.validate()
+    plan = sched.plan()  # checked as it is built
     collectives = [t for t in plan.graph if t.kind is TaskKind.ALLREDUCE]
     # Every variant beyond the registry's defaults synchronizes.
     assert bool(collectives) == (
@@ -85,8 +84,8 @@ def test_shares_follow_the_layout(case):
     assert set(plan.shares) == {t.tid for t in collectives}
     for task in collectives:
         shares = plan.shares[task.tid]
-        assert tuple(shares) == task.participants
-        assert list(task.participants) == sorted(task.participants)
+        # The participants are the share owners, sorted.
+        assert list(shares) == sorted(shares)
         assert len(shares) >= 2
         for field in ("touched", "writes", "frees"):
             split = [tid for s in shares.values() for tid in getattr(s, field)]
@@ -114,7 +113,7 @@ def test_tensor_no_compute_task_touches_is_rejected():
     tid = registry.weight(0, 0).tid
     graph = TaskGraph()
     graph.add(Task(tid=0, kind=TaskKind.ALLREDUCE, label="ar",
-                   reads=(tid,), writes=(tid,), participants=("gpu0",)))
+                   reads=(tid,), writes=(tid,)))
     with pytest.raises(SchedulingError, match="no compute task"):
         Plan(
             label="orphan", graph=graph, registry=registry,

@@ -9,17 +9,22 @@ contract the fault-injection subsystem leans on.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CapacityError, SchedulingError, SimulationError
+from repro.memory.policy import MemoryPolicy
 from repro.models import zoo
 from repro.schedulers import build_scheduler
 from repro.schedulers.base import BatchConfig
 from repro.sim.engine import Engine
 from repro.sim.executor import Executor
+from repro.sim.plan import Plan
 from repro.tasks.graph import TaskGraph
 from repro.models.phases import Phase
 from repro.tasks.task import Task, TaskKind
+from repro.tensors.registry import TensorRegistry
 from repro.units import MB
 
 from tests.conftest import tight_server
@@ -42,19 +47,23 @@ class TestCapacityError:
 class TestSchedulingError:
     def test_cycle_is_reported_with_involved_tasks(self):
         graph = TaskGraph()
-        a = graph.add(Task(0, TaskKind.COMPUTE, "fwd-a", phase=Phase.FORWARD,
-                           device="gpu0"))
-        b = graph.add(Task(1, TaskKind.COMPUTE, "fwd-b", phase=Phase.FORWARD,
-                           device="gpu0", deps=frozenset({0})))
-        a.add_dep(b.tid)
-        with pytest.raises(SchedulingError, match="cycle"):
+        graph.add(Task(0, TaskKind.COMPUTE, "fwd-a", phase=Phase.FORWARD,
+                       device="gpu0", deps=frozenset({1})))
+        graph.add(Task(1, TaskKind.COMPUTE, "fwd-b", phase=Phase.FORWARD,
+                       device="gpu0", deps=frozenset({0})))
+        with pytest.raises(SchedulingError, match="cycle.*fwd-a.*fwd-b"):
             graph.validate()
 
     def test_unplaced_task_is_named(self):
         graph = TaskGraph()
         graph.add(Task(0, TaskKind.COMPUTE, "fwd-orphan", phase=Phase.FORWARD))
-        with pytest.raises(SchedulingError, match="fwd-orphan.*not placed"):
-            graph.validate(require_placement=True)
+        with pytest.raises(SchedulingError, match="fwd-orphan.*unplaced"):
+            Plan(
+                label="orphan", graph=graph,
+                registry=TensorRegistry(zoo.synthetic_uniform(num_layers=1), 1),
+                device_order={"gpu0": [0]}, policy=MemoryPolicy.harmony(),
+                samples_per_iteration=1,
+            )
 
     def test_plan_rejects_task_ordered_on_wrong_device(self):
         model = zoo.synthetic_uniform(num_layers=2)
@@ -63,9 +72,10 @@ class TestSchedulingError:
             "dp-baseline", model, topo, BatchConfig(1, 2)
         ).plan()
         orders = plan.device_order
-        orders["gpu0"], orders["gpu1"] = orders["gpu1"], orders["gpu0"]
         with pytest.raises(SchedulingError, match="ordered on .* but placed"):
-            plan.validate()
+            dataclasses.replace(
+                plan, device_order={"gpu0": orders["gpu1"], "gpu1": orders["gpu0"]}
+            )
 
 
 class TestDeadlockDetection:
@@ -76,7 +86,9 @@ class TestDeadlockDetection:
         model = zoo.synthetic_uniform(num_layers=2)
         topo = tight_server(1)
         plan = build_scheduler("single", model, topo, BatchConfig(1, 1)).plan()
-        plan.device_order["gpu0"].reverse()
+        plan = dataclasses.replace(
+            plan, device_order={"gpu0": plan.device_order["gpu0"][::-1]}
+        )
         with pytest.raises(SimulationError) as exc:
             Executor(topo, plan).run()
         message = str(exc.value)

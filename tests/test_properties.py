@@ -349,6 +349,7 @@ def test_executor_handles_any_legal_single_gpu_order(seed):
     """The executor must complete (and conserve physical invariants
     under) *any* dependency-respecting task order, not just the ones our
     schedulers emit — random topological orders act as schedule fuzzing."""
+    import dataclasses
     import random
 
     from repro.memory.policy import MemoryPolicy
@@ -368,7 +369,7 @@ def test_executor_handles_any_legal_single_gpu_order(seed):
     # Random topological order via Kahn's algorithm with a seeded pick.
     rng = random.Random(seed)
     graph = plan.graph
-    indegree = {tid: len(t.all_deps) for tid, t in graph.tasks.items()}
+    indegree = {tid: len(t.deps) for tid, t in graph.tasks.items()}
     succ = graph.successors()
     ready = sorted(tid for tid, deg in indegree.items() if deg == 0)
     order = []
@@ -379,7 +380,7 @@ def test_executor_handles_any_legal_single_gpu_order(seed):
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 ready.append(nxt)
-    plan.device_order["gpu0"] = order
+    plan = dataclasses.replace(plan, device_order={"gpu0": order})
 
     result = Executor(topo, plan).run()
     assert result.samples == 2

@@ -110,10 +110,51 @@ class TestParseJob:
             with pytest.raises(JobSpecError, match=needle):
                 parse_job(payload)
 
+    def test_faults_job_rejects_steady_state(self):
+        # Every fault segment simulates one iteration: no mode changes a
+        # faults job, so the field is refused rather than ignored.
+        with pytest.raises(JobSpecError, match="steady_state.*faults"):
+            parse_job(
+                {"kind": "faults", "model": "lenet", "steady_state": "force"}
+            )
+
     def test_tenant_field_is_allowed_but_not_part_of_the_spec(self):
         # Clients may put the tenant in the body instead of the header.
         spec = parse_job({"kind": "simulate", "model": "lenet", "tenant": "a"})
         assert "tenant" not in spec_to_json(spec)
+
+
+class TestTuneJob:
+    def test_iterations_and_steady_state_reach_the_tuner(self, monkeypatch):
+        import repro.tuner.search as search
+        from repro.hardware import presets
+        from repro.models import zoo
+        from repro.serve.jobs import execute_job
+
+        seen = {}
+        real_tune = search.tune
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real_tune(*args, **kwargs)
+
+        monkeypatch.setattr(search, "tune", spy)
+        doc = execute_job(
+            parse_job({
+                "kind": "tune", "model": "lenet", "iterations": 2,
+                "steady_state": "off",
+            }),
+            Supervisor(jobs=1, inline=True),
+        )
+        assert seen["profile_iterations"] == 2
+        assert seen["steady_state"] == "off"
+        direct = real_tune(
+            zoo.build("lenet"), presets.gtx1080ti_server(num_gpus=4), 4,
+            profile_iterations=2, steady_state="off",
+        )
+        assert doc["best"] == {
+            "label": direct.best.label, "throughput": direct.best.throughput,
+        }
 
 
 class TestFairQueue:

@@ -74,7 +74,7 @@ class TestShardedDecomposer:
         # No update depends on any collective: shards own their slices.
         coll_ids = {t.tid for t in it.graph if t.kind is TaskKind.ALLREDUCE}
         for task in it.upd.values():
-            assert not (task.all_deps & coll_ids)
+            assert not (task.deps & coll_ids)
 
     def test_subtask_flops_divided(self, model):
         one = decompose(model, shards=1)
@@ -88,7 +88,7 @@ class TestShardedDecomposer:
 
     def test_accumulation_ordering(self, model):
         it = decompose(model, shards=2, m=3)
-        assert it.bwd[(1, 2, 0)].tid in it.bwd[(1, 2, 1)].all_deps
+        assert it.bwd[(1, 2, 0)].tid in it.bwd[(1, 2, 1)].deps
 
     def test_samples_counted_once(self, model):
         it = decompose(model, shards=4, m=3)

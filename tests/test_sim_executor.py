@@ -1,5 +1,7 @@
 """Executor: end-to-end plan execution on the event engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -169,19 +171,23 @@ class TestPrefetch:
 
 class TestFailureModes:
     def test_inconsistent_plan_rejected(self, model):
+        # An inconsistent plan cannot be built, so no executor sees one.
         topo = tight_server(1)
         plan = single_plan(model, topo)
-        plan.device_order["gpu0"] = plan.device_order["gpu0"][:-1]  # drop a task
         with pytest.raises(SchedulingError):
-            Executor(topo, plan)
+            dataclasses.replace(
+                plan, device_order={"gpu0": plan.device_order["gpu0"][:-1]}
+            )  # drop a task
 
     def test_deadlock_reported(self, model):
         topo = tight_server(1)
         plan = single_plan(model, topo, m=1)
-        # Reverse the order: fwd L2 before fwd L1 deadlocks a strict
+        # Swap the first two: fwd L2 before fwd L1 deadlocks a strict
         # in-order device.
-        order = plan.device_order["gpu0"]
-        order[0], order[1] = order[1], order[0]
+        first, second, *rest = plan.device_order["gpu0"]
+        plan = dataclasses.replace(
+            plan, device_order={"gpu0": (second, first, *rest)}
+        )
         with pytest.raises(SimulationError, match="deadlock"):
             Executor(topo, plan).run()
 

@@ -1,5 +1,7 @@
 """RunResult / DeviceReport reporting and Plan validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -94,37 +96,43 @@ class TestPlanValidation:
         plan.validate()
 
     def test_missing_task_detected(self, plan):
-        plan.device_order["gpu0"].pop()
-        with pytest.raises(SchedulingError):
-            plan.validate()
+        with pytest.raises(SchedulingError, match="appears 0 times"):
+            dataclasses.replace(
+                plan, device_order={"gpu0": plan.device_order["gpu0"][:-1]}
+            )
 
     def test_duplicated_task_detected(self, plan):
-        plan.device_order["gpu0"].append(plan.device_order["gpu0"][0])
-        with pytest.raises(SchedulingError):
-            plan.validate()
+        order = plan.device_order["gpu0"]
+        with pytest.raises(SchedulingError, match="appears 2 times"):
+            dataclasses.replace(
+                plan, device_order={"gpu0": order + order[:1]}
+            )
 
     def test_wrong_device_detected(self, plan):
         tid = plan.device_order["gpu0"][0]
         plan.graph.task(tid).device = "gpu9"
-        with pytest.raises(SchedulingError):
-            plan.validate()
+        with pytest.raises(SchedulingError, match="ordered on gpu0 but placed"):
+            dataclasses.replace(plan)
 
     def test_allreduce_on_non_participant_detected(self):
-        graph = TaskGraph()
-        graph.add(
-            Task(tid=0, kind=TaskKind.ALLREDUCE, label="ar",
-                 participants=("gpu1",))
-        )
+        # The collective's one tensor belongs to gpu1 (its only
+        # toucher), so ordering the collective on gpu0 is refused.
         model = zoo.synthetic_uniform(num_layers=1)
-        plan = Plan(
-            label="bad", graph=graph,
-            registry=TensorRegistry(model, 1),
-            device_order={"gpu0": [0]},
-            policy=MemoryPolicy.harmony(),
-            samples_per_iteration=1,
-        )
-        with pytest.raises(SchedulingError):
-            plan.validate()
+        registry = TensorRegistry(model, 1)
+        w = registry.weight(0, 0).tid
+        graph = TaskGraph()
+        graph.add(Task(tid=0, kind=TaskKind.COMPUTE, label="upd",
+                       phase=Phase.UPDATE, reads=(w,), writes=(w,),
+                       device="gpu1"))
+        graph.add(Task(tid=1, kind=TaskKind.ALLREDUCE, label="ar",
+                       reads=(w,), writes=(w,)))
+        with pytest.raises(SchedulingError, match="ar ordered on non-participant gpu0"):
+            Plan(
+                label="bad", graph=graph, registry=registry,
+                device_order={"gpu0": [1], "gpu1": [0]},
+                policy=MemoryPolicy.harmony(),
+                samples_per_iteration=1,
+            )
 
 
 class TestMemoryProfile:

@@ -253,21 +253,6 @@ class TestFaultVeto:
         with pytest.raises(SimulationError, match="one iteration"):
             ExecOptions(injector=FaultInjector(FaultPlan(seed=1)), iterations=2)
 
-    def test_cli_faults_under_force_exits_one(self, capsys):
-        from repro.__main__ import main
-        from repro.steady import default_mode, set_default_mode
-
-        saved = default_mode()
-        try:
-            code = main([
-                "faults", "--steady-state", "force",
-                "--gpus", "2", "--iterations", "2", "--mttf", "4",
-            ])
-        finally:
-            set_default_mode(saved)
-        assert code == 1
-        assert "force" in capsys.readouterr().err
-
 
 class TestForceMode:
     def test_force_succeeds_when_cycle_detected(self, model, server):

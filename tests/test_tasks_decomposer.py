@@ -53,11 +53,11 @@ class TestTaskCounts:
 class TestForwardStructure:
     def test_fwd_chain_dependency(self):
         it = decompose()
-        assert it.fwd[(0, 0, 0)].tid in it.fwd[(0, 1, 0)].all_deps
+        assert it.fwd[(0, 0, 0)].tid in it.fwd[(0, 1, 0)].deps
 
     def test_first_fwd_has_no_deps(self):
         it = decompose()
-        assert it.fwd[(0, 0, 0)].all_deps == frozenset()
+        assert it.fwd[(0, 0, 0)].deps == frozenset()
 
     def test_fwd_reads_weight_and_input(self):
         it = decompose()
@@ -89,11 +89,11 @@ class TestForwardStructure:
 class TestBackwardStructure:
     def test_bwd_depends_on_next_layer_bwd(self):
         it = decompose()
-        assert it.bwd[(0, 3, 0)].tid in it.bwd[(0, 2, 0)].all_deps
+        assert it.bwd[(0, 3, 0)].tid in it.bwd[(0, 2, 0)].deps
 
     def test_top_bwd_depends_on_own_fwd(self):
         it = decompose()
-        assert it.fwd[(0, 3, 0)].tid in it.bwd[(0, 3, 0)].all_deps
+        assert it.fwd[(0, 3, 0)].tid in it.bwd[(0, 3, 0)].deps
 
     def test_bwd_reads_stash_weight_grad(self):
         it = decompose()
@@ -120,15 +120,8 @@ class TestBackwardStructure:
 
     def test_accumulation_ordering(self):
         it = decompose(m=3)
-        assert it.bwd[(0, 2, 0)].tid in it.bwd[(0, 2, 1)].all_deps
-        assert it.bwd[(0, 2, 1)].tid in it.bwd[(0, 2, 2)].all_deps
-
-    def test_accumulation_ordering_disabled(self):
-        model = zoo.synthetic_uniform(num_layers=2)
-        it = Decomposer(
-            model, 1, 2, accumulate_ordering=False
-        ).decompose()
-        assert it.bwd[(0, 1, 0)].tid not in it.bwd[(0, 1, 1)].all_deps
+        assert it.bwd[(0, 2, 0)].tid in it.bwd[(0, 2, 1)].deps
+        assert it.bwd[(0, 2, 1)].tid in it.bwd[(0, 2, 2)].deps
 
     def test_first_layer_writes_no_input_grad(self):
         it = decompose()
@@ -142,7 +135,7 @@ class TestBackwardStructure:
 class TestUpdateAndAllreduce:
     def test_update_depends_on_last_bwd(self):
         it = decompose(m=3)
-        assert it.bwd[(0, 1, 2)].tid in it.upd[(0, 1)].all_deps
+        assert it.bwd[(0, 1, 2)].tid in it.upd[(0, 1)].deps
 
     def test_update_touches_w_dw_k(self):
         it = decompose()
@@ -154,8 +147,8 @@ class TestUpdateAndAllreduce:
 
     def test_update_after_allreduce_in_dp(self):
         it = decompose(replicas=2)
-        assert it.allreduce[0].tid in it.upd[(0, 0)].all_deps
-        assert it.allreduce[0].tid in it.upd[(1, 0)].all_deps
+        assert it.allreduce[0].tid in it.upd[(0, 0)].deps
+        assert it.allreduce[0].tid in it.upd[(1, 0)].deps
 
     def test_allreduce_volume(self):
         it = decompose(replicas=4)
@@ -164,7 +157,7 @@ class TestUpdateAndAllreduce:
 
     def test_allreduce_waits_for_all_replicas(self):
         it = decompose(replicas=2, m=2)
-        deps = it.allreduce[1].all_deps
+        deps = it.allreduce[1].deps
         assert it.bwd[(0, 1, 1)].tid in deps
         assert it.bwd[(1, 1, 1)].tid in deps
 
@@ -191,7 +184,7 @@ class TestPacking:
             num_layers=4, packs_fwd=pack_layers(4, 2), packs_bwd=pack_layers(4, 1)
         )
         # bwd pack covering layer 1 depends on the fwd pack covering it
-        assert it.fwd[(0, 0, 0)].tid in it.bwd[(0, 1, 0)].all_deps
+        assert it.fwd[(0, 0, 0)].tid in it.bwd[(0, 1, 0)].deps
 
     def test_upd_packs_default_per_layer(self):
         it = decompose(num_layers=4, packs_bwd=pack_layers(4, 2))

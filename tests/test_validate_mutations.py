@@ -56,7 +56,7 @@ def _label_map(plan):
 def _dep_end(result, plan, task):
     """Latest end among the first occurrences of a task's direct deps."""
     ends = []
-    for dep_tid in task.all_deps:
+    for dep_tid in task.deps:
         dep = plan.graph.task(dep_tid)
         events = [e for e in result.trace.events if e.label == dep.label]
         if events:
@@ -144,7 +144,7 @@ class TestMutations:
             if e.category != "compute":
                 continue
             task = tasks[e.label]
-            if task.all_deps and _dep_end(result, plan, task) > 10 * _TOL:
+            if task.deps and _dep_end(result, plan, task) > 10 * _TOL:
                 events[i] = e._replace(start=0.0, end=0.0)
                 report = _audit(run)
                 assert report.kinds() == {ViolationKind.DEPENDENCY_ORDER}

@@ -86,7 +86,7 @@ def test_conflicting_compute_shift_never_goes_unnoticed(event_pick, shift_frac):
             default=0.0,
         )
         dep_end = 0.0
-        for dep_tid in tasks[e.label].all_deps:
+        for dep_tid in tasks[e.label].deps:
             dep_label = plan.graph.task(dep_tid).label
             dep_end = max(
                 dep_end,

@@ -46,7 +46,7 @@ class TestDecomposition:
 
     def test_gather_depends_on_all_updates(self, model):
         it = decompose(model, replicas=2)
-        deps = it.weight_gather[1].all_deps
+        deps = it.weight_gather[1].deps
         assert it.upd[(0, 1)].tid in deps
         assert it.upd[(1, 1)].tid in deps
 
