@@ -7,7 +7,6 @@ lever (it is what turns per-microbatch weight swaps into per-pass
 swaps); the others must never *help* when disabled.
 """
 
-from repro.core.config import Parallelism
 from repro.experiments import ablations
 
 from conftest import print_table
@@ -18,7 +17,7 @@ def _by_variant(rows):
 
 
 def test_ablation_harmony_pp(once):
-    rows = once(ablations.run, Parallelism.HARMONY_PP)
+    rows = once(ablations.run, "harmony-pp")
     print_table(ablations.table(rows, title="ablations: harmony-pp, GPT-2 XL"))
     by = _by_variant(rows)
     full = by["full harmony"]
@@ -30,7 +29,7 @@ def test_ablation_harmony_pp(once):
 
 
 def test_ablation_harmony_dp(once):
-    rows = once(ablations.run, Parallelism.HARMONY_DP)
+    rows = once(ablations.run, "harmony-dp")
     print_table(ablations.table(rows, title="ablations: harmony-dp, GPT-2 XL"))
     by = _by_variant(rows)
     full = by["full harmony"]
@@ -47,7 +46,7 @@ def test_ablation_eviction_policies(once):
     from repro.models.transformer import bert_large
     from repro.hardware import presets
     from repro.schedulers.base import BatchConfig
-    from repro.schedulers.single import SingleGpuScheduler
+    from repro.schedulers import DataParallelBaseline
     from repro.sim.executor import Executor
     from repro.tensors.tensor import TensorKind
     from repro.units import GB
@@ -62,8 +61,9 @@ def test_ablation_eviction_policies(once):
             policy = MemoryPolicy(
                 track_clean=False, p2p_enabled=False, eviction=eviction
             )
-            plan = SingleGpuScheduler(
-                model, topo, BatchConfig(8, 1), policy=policy
+            plan = DataParallelBaseline(
+                model, topo, BatchConfig(8, 1), num_replicas=1,
+                policy=policy,
             ).plan()
             out[eviction] = Executor(topo, plan).run()
         return out

@@ -15,7 +15,7 @@ from repro.memory.policy import MemoryPolicy
 from repro.models import zoo
 from repro.models.transformer import gpt2_xl
 from repro.schedulers.base import BatchConfig as BC
-from repro.schedulers.single import SingleGpuScheduler
+from repro.schedulers import DataParallelBaseline
 from repro.sim.executor import ExecOptions, Executor
 from repro.tensors.tensor import TensorKind
 from repro.units import GB, MB
@@ -43,8 +43,9 @@ def test_steady_state_validation(once):
         rows = []
         for iters in (1, 2, 4, 8):
             topo = _tight(1, 420 * MB)
-            plan = SingleGpuScheduler(
-                model, topo, BC(1, 2), policy=MemoryPolicy.paper_baseline()
+            plan = DataParallelBaseline(
+                model, topo, BC(1, 2), num_replicas=1,
+                policy=MemoryPolicy.paper_baseline(),
             ).plan()
             result = Executor(
                 topo, plan,
@@ -52,8 +53,9 @@ def test_steady_state_validation(once):
             ).run()
             rows.append((iters, result.stats.kind_swap_volume(TensorKind.WEIGHT)))
         topo = _tight(1, 420 * MB)
-        plan = SingleGpuScheduler(
-            model, topo, BC(1, 2), policy=MemoryPolicy.paper_baseline()
+        plan = DataParallelBaseline(
+            model, topo, BC(1, 2), num_replicas=1,
+            policy=MemoryPolicy.paper_baseline(),
         ).plan()
         flushed = Executor(topo, plan).run()
         return rows, flushed.stats.kind_swap_volume(TensorKind.WEIGHT)

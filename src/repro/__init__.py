@@ -21,7 +21,7 @@ Quickstart::
     print(session.summary())
 """
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.core.session import HarmonySession
 from repro.core.report import compare_runs
 from repro.schedulers.base import BatchConfig
@@ -70,7 +70,6 @@ __version__ = "1.0.0"
 __all__ = [
     "HarmonySession",
     "HarmonyConfig",
-    "Parallelism",
     "BatchConfig",
     "HarmonyOptions",
     "compare_runs",

@@ -7,8 +7,8 @@ chain, as if for one device), a server, and a parallelization choice,
 and it decomposes, schedules, and simulates the training iteration.
 """
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.core.session import HarmonySession
 from repro.core.report import compare_runs
 
-__all__ = ["HarmonyConfig", "Parallelism", "HarmonySession", "compare_runs"]
+__all__ = ["HarmonyConfig", "HarmonySession", "compare_runs"]

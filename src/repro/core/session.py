@@ -57,7 +57,7 @@ class HarmonySession:
     def scheduler(self) -> Scheduler:
         cfg = self.config
         return build_scheduler(
-            cfg.resolved_parallelism().value,
+            cfg.parallelism,
             self.model,
             self.topology,
             cfg.batch,

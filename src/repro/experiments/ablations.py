@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.errors import CapacityError
 from repro.core.session import HarmonySession
 from repro.hardware import presets
@@ -46,7 +46,7 @@ def default_workload() -> tuple[ModelGraph, Topology, BatchConfig]:
     )
 
 
-def _variants(parallelism: Parallelism) -> list[tuple[str, HarmonyOptions]]:
+def _variants() -> list[tuple[str, HarmonyOptions]]:
     full = HarmonyOptions()
     rows = [
         ("full harmony", full),
@@ -61,7 +61,7 @@ def _variants(parallelism: Parallelism) -> list[tuple[str, HarmonyOptions]]:
 
 
 def run(
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
     model: ModelGraph | None = None,
     topology: Topology | None = None,
     batch: BatchConfig | None = None,
@@ -71,9 +71,8 @@ def run(
         model = model if model is not None else default_model
         topology = topology if topology is not None else default_topo
         batch = batch if batch is not None else default_batch
-    parallelism = Parallelism.parse(parallelism)
     rows = []
-    for label, options in _variants(parallelism):
+    for label, options in _variants():
         session = HarmonySession(
             model,
             topology,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.core.session import HarmonySession
 from repro.hardware import presets
 from repro.hardware.device import DeviceKind, DeviceSpec
@@ -59,7 +59,7 @@ def run(
         ),
     )
     config = HarmonyConfig(
-        parallelism=Parallelism.HARMONY_PP,
+        parallelism="harmony-pp",
         batch=BatchConfig(microbatch_size=1, num_microbatches=num_microbatches),
         options=HarmonyOptions(),  # grouping + jit + p2p, layer granularity
     )

@@ -5,9 +5,10 @@ registered scheduler runs the same workload, and each run reports both
 its throughput and the peak *activation-class* bytes resident per
 device (``DeviceReport.peak_activation``).  That second axis is what
 separates the pipeline schedules: GPipe-style orders stash every
-in-flight microbatch, 1F1B bounds the stash by pipeline depth, DAPPLE's
-early backward frees it sooner still, and Harmony's interleaved
-placement spreads it evenly — differences that throughput alone hides.
+in-flight microbatch, 1F1B (which is DAPPLE's early backward; the two
+rows differ only with more than one DAPPLE pipeline) bounds the stash
+by pipeline depth, and Harmony's interleaved placement spreads it
+evenly — differences that throughput alone hides.
 """
 
 from __future__ import annotations

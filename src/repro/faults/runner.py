@@ -118,7 +118,7 @@ class _ResilientRun:
             raise ConfigError("iterations must be >= 1")
         self.model = model
         self.config = config
-        self.scheme = config.resolved_parallelism().value
+        self.scheme = config.parallelism
         self.fault_plan = fault_plan
         self.policy = (
             policy if policy is not None else ResiliencePolicy.for_scheme(self.scheme)

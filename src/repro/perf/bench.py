@@ -51,7 +51,7 @@ import platform
 import sys
 import time
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.core.session import HarmonySession
 from repro.errors import ReproError
 from repro.hardware import presets
@@ -100,7 +100,7 @@ def _fig4_workload(num_layers: int = 4, num_microbatches: int = 2) -> RunSpec:
         ),
     )
     config = HarmonyConfig(
-        parallelism=Parallelism.HARMONY_PP,
+        parallelism="harmony-pp",
         batch=BatchConfig(microbatch_size=1, num_microbatches=num_microbatches),
     )
     return RunSpec(model, topology, config, label=f"fig4-{num_layers}L-{num_microbatches}mb")
@@ -344,7 +344,7 @@ def _fleet_workload(num_gpus: int) -> tuple:
     )
     topology = presets.commodity_server(num_gpus=num_gpus)
     config = HarmonyConfig(
-        parallelism=Parallelism.HARMONY_DP,
+        parallelism="harmony-dp",
         batch=BatchConfig(microbatch_size=1, num_microbatches=2),
     )
     return model, topology, config

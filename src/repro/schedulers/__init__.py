@@ -9,6 +9,11 @@ update scheduling, p2p transfers, and task packing — as individually
 toggleable options, so the ablation benchmarks can attribute the win.
 The zoo also carries the paper's contemporaries as comparison points:
 PipeDream's 1F1B schedule and DAPPLE's early-backward hybrid schedule.
+Those two share one stage order (DAPPLE's early backward with one
+pipeline is 1F1B with a synchronous flush), so one class builds both,
+as one class builds ``single`` (a one-replica DP baseline).  Each
+class's own body defines ``plan``; shared code lives in functions and
+helper methods of :mod:`repro.schedulers.base`.
 
 The registry below is the single source of truth for scheme names:
 the session, CLI, differential cross-checker, golden traces, and the
@@ -19,14 +24,13 @@ whole stack for free.
 
 from typing import Callable
 
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, BatchConfig
-from repro.schedulers.single import SingleGpuScheduler
 from repro.schedulers.dp_baseline import DataParallelBaseline
 from repro.schedulers.pp_baseline import PipelineBaseline
 from repro.schedulers.harmony_dp import HarmonyDP
 from repro.schedulers.harmony_pp import HarmonyPP
 from repro.schedulers.harmony_tp import HarmonyTP
-from repro.schedulers.pipedream_1f1b import PipeDream1F1B
 from repro.schedulers.dapple import DappleScheduler
 from repro.schedulers.options import HarmonyOptions
 
@@ -37,8 +41,8 @@ from repro.schedulers.options import HarmonyOptions
 #: no options.  Insertion order is the canonical presentation order
 #: (``compare`` tables, differential reports, golden-trace file sets).
 SCHEDULER_REGISTRY: dict[str, Callable[..., Scheduler]] = {
-    "single": lambda model, topology, batch, options: SingleGpuScheduler(
-        model, topology, batch, pack_size=options.pack_size
+    "single": lambda model, topology, batch, options: DataParallelBaseline(
+        model, topology, batch, num_replicas=1, pack_size=options.pack_size
     ),
     "dp-baseline": lambda model, topology, batch, options: DataParallelBaseline(
         model, topology, batch, pack_size=options.pack_size
@@ -55,7 +59,7 @@ SCHEDULER_REGISTRY: dict[str, Callable[..., Scheduler]] = {
     "harmony-tp": lambda model, topology, batch, options: HarmonyTP(
         model, topology, batch, options=options
     ),
-    "pipedream-1f1b": lambda model, topology, batch, options: PipeDream1F1B(
+    "pipedream-1f1b": lambda model, topology, batch, options: DappleScheduler(
         model, topology, batch
     ),
     "dapple": lambda model, topology, batch, options: DappleScheduler(
@@ -69,6 +73,17 @@ def scheme_names() -> tuple[str, ...]:
     return tuple(SCHEDULER_REGISTRY)
 
 
+def check_scheme(scheme: str) -> str:
+    """``scheme`` if it is a registered name, else a
+    :class:`~repro.errors.ConfigError` that lists every name."""
+    if scheme not in SCHEDULER_REGISTRY:
+        raise ConfigError(
+            f"unknown scheme {scheme!r}; valid schemes: "
+            + ", ".join(scheme_names())
+        )
+    return scheme
+
+
 def build_scheduler(
     scheme: str,
     model,
@@ -77,32 +92,28 @@ def build_scheduler(
     options: HarmonyOptions | None = None,
 ) -> Scheduler:
     """Construct the scheduler for a scheme name (the single registry
-    the session, CLI, and differential cross-checker all share)."""
-    from repro.errors import ConfigError
-
+    the session, CLI, and differential cross-checker all share).  Its
+    plans are labelled with the scheme name."""
     options = options if options is not None else HarmonyOptions()
-    factory = SCHEDULER_REGISTRY.get(scheme)
-    if factory is None:
-        raise ConfigError(
-            f"unknown scheme {scheme!r}; valid schemes: "
-            + ", ".join(scheme_names())
-        )
-    return factory(model, topology, batch, options)
+    scheduler = SCHEDULER_REGISTRY[check_scheme(scheme)](
+        model, topology, batch, options
+    )
+    scheduler.name = scheme
+    return scheduler
 
 
 __all__ = [
     "Scheduler",
     "BatchConfig",
-    "SingleGpuScheduler",
     "DataParallelBaseline",
     "PipelineBaseline",
     "HarmonyDP",
     "HarmonyPP",
     "HarmonyTP",
-    "PipeDream1F1B",
     "DappleScheduler",
     "HarmonyOptions",
     "SCHEDULER_REGISTRY",
     "scheme_names",
+    "check_scheme",
     "build_scheduler",
 ]

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.memory.policy import MemoryPolicy
 from repro.models.graph import ModelGraph
+from repro.schedulers.options import HarmonyOptions
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import IterationTasks
 
@@ -95,3 +97,86 @@ class Scheduler(abc.ABC):
         O(replicas x graph) — quadratic in fleet size."""
         for task in itasks.compute_tasks_of(replica):
             task.place(device)
+
+    @staticmethod
+    def _place_stage(
+        itasks: IterationTasks,
+        replica: int,
+        stage: int,
+        device: str,
+        update_device: str | None = None,
+    ) -> None:
+        """Bind one pipeline stage (a backward pack) of one replica to
+        one device: its forward and backward for every microbatch, and
+        the updates of its layers (on ``update_device`` when given)."""
+        for mb in range(itasks.num_microbatches):
+            itasks.fwd[(replica, stage, mb)].place(device)
+            itasks.bwd[(replica, stage, mb)].place(device)
+        for pu in itasks.upd_packs_within(stage):
+            itasks.upd[(replica, pu)].place(update_device or device)
+
+
+def one_f_one_b(
+    itasks: IterationTasks, replica: int, stage: int, num_stages: int
+) -> list[int]:
+    """The 1F1B order of one pipeline stage, without its update tail
+    (PipeDream's 1F1B, which is DAPPLE's early backward).
+
+    The stage warms up with ``num_stages - stage`` forwards, then runs
+    backward-first (backward, forward) pairs and drains the remaining
+    backwards, so it never holds more than ``num_stages - stage``
+    microbatches' stashes at once."""
+    m = itasks.num_microbatches
+    warmup = min(num_stages - stage, m)
+    fwd = [itasks.fwd[(replica, stage, mb)].tid for mb in range(m)]
+    bwd = [itasks.bwd[(replica, stage, mb)].tid for mb in range(m)]
+    order = fwd[:warmup]
+    for k in range(m - warmup):
+        order += (bwd[k], fwd[warmup + k])
+    return order + bwd[m - warmup:]
+
+
+def harmony_order(
+    options: HarmonyOptions,
+    num_microbatches: int,
+    fwd_packs: Sequence[int],
+    bwd_packs: Sequence[int],
+    fwd_cell: Callable[[int, int], Sequence[int]],
+    bwd_cell: Callable[[int, int], Sequence[int]],
+    jit_tail: Callable[[int], Sequence[int]],
+    deferred_tail: Callable[[], Sequence[int]],
+) -> list[int]:
+    """One device's order under Harmony's input-batch grouping and
+    just-in-time update (paper §3), shared by every Harmony scheme.
+
+    The forward pass runs ``fwd_packs``, then the backward pass runs
+    ``bwd_packs`` in reverse.  ``fwd_cell(p, mb)`` and ``bwd_cell(p,
+    mb)`` are the task ids pack ``p`` runs for microbatch ``mb``.  With
+    grouping each pack runs every microbatch back to back; without it
+    each microbatch runs every pack.  With ``jit_update``,
+    ``jit_tail(p)`` follows the last microbatch of backward pack ``p``;
+    without it, ``deferred_tail()`` follows the whole backward pass."""
+    m = num_microbatches
+    jit = options.jit_update
+    order: list[int] = []
+    if options.grouping:
+        for p in fwd_packs:
+            for mb in range(m):
+                order += fwd_cell(p, mb)
+        for p in reversed(bwd_packs):
+            for mb in range(m):
+                order += bwd_cell(p, mb)
+            if jit:
+                order += jit_tail(p)
+    else:
+        for mb in range(m):
+            for p in fwd_packs:
+                order += fwd_cell(p, mb)
+        for mb in range(m):
+            for p in reversed(bwd_packs):
+                order += bwd_cell(p, mb)
+                if jit and mb == m - 1:
+                    order += jit_tail(p)
+    if not jit:
+        order += deferred_tail()
+    return order

@@ -1,5 +1,7 @@
 """DAPPLE's early-backward hybrid schedule (PAPERS.md: "DAPPLE: A
-Pipelined Data Parallel Approach for Training Large Models").
+Pipelined Data Parallel Approach for Training Large Models"), which
+also builds PipeDream's 1F1B (PAPERS.md: "PipeDream: Fast and
+Efficient Pipeline Parallel DNN Training").
 
 Two ideas from the paper, both expressed here:
 
@@ -8,7 +10,13 @@ Two ideas from the paper, both expressed here:
   (backward, forward) pairs — the first backward is scheduled as early
   as its dependencies allow, so each microbatch's stashed activations
   are freed at the earliest possible point instead of piling up
-  GPipe-style until the forward wave completes.
+  GPipe-style until the forward wave completes.  A stage therefore
+  never holds more than ``num_stages - stage`` microbatches' stashes.
+  This is PipeDream's 1F1B order
+  (:func:`~repro.schedulers.base.one_f_one_b`): with one pipeline the
+  two schedules are the same plan, so the ``pipedream-1f1b`` scheme is
+  this class with ``num_pipelines=1``, and ``dapple`` differs from it
+  only with more than one pipeline.
 
 * **Hybrid data + pipeline layout.**  With ``num_pipelines = R > 1``
   the GPUs are carved into R pipeline replicas of
@@ -22,9 +30,8 @@ Two ideas from the paper, both expressed here:
   (:func:`~repro.sim.plan.collective_shares`) gives every stage device
   its pipeline's gradient shard.
 
-Memory is managed by the baseline per-GPU virtualization policy — like
-:class:`~repro.schedulers.pipedream_1f1b.PipeDream1F1B` this is a
-"contemporary system + swapping" comparison point, not a Harmony
+Memory is managed by the baseline per-GPU virtualization policy: this
+is a "contemporary system + swapping" comparison point, not a Harmony
 variant.
 """
 
@@ -34,7 +41,7 @@ from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.memory.policy import MemoryPolicy
 from repro.models.graph import ModelGraph
-from repro.schedulers.base import BatchConfig, Scheduler
+from repro.schedulers.base import BatchConfig, Scheduler, one_f_one_b
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import Decomposer, IterationTasks
 from repro.tasks.packing import partition_layers_balanced
@@ -91,11 +98,7 @@ class DappleScheduler(Scheduler):
         for r in range(self.num_pipelines):
             for s in range(self.num_stages):
                 device = self.stage_device(r, s)
-                for mb in range(self.batch.num_microbatches):
-                    itasks.fwd[(r, s, mb)].place(device)
-                    itasks.bwd[(r, s, mb)].place(device)
-                for pu in itasks.upd_packs_within(s):
-                    itasks.upd[(r, pu)].place(device)
+                self._place_stage(itasks, r, s, device)
                 device_order[device] = self._stage_order(itasks, r, s)
         return self._finish_plan(
             itasks,
@@ -111,17 +114,7 @@ class DappleScheduler(Scheduler):
     def _stage_order(
         self, itasks: IterationTasks, replica: int, stage: int
     ) -> list[int]:
-        m = self.batch.num_microbatches
-        warmup = min(self.num_stages - stage, m)
-        order = [itasks.fwd[(replica, stage, mb)].tid for mb in range(warmup)]
-        # Early backward: backward-first steady pairs free each
-        # microbatch's stash at the earliest dependency-feasible point.
-        for k in range(m - warmup):
-            order.append(itasks.bwd[(replica, stage, k)].tid)
-            order.append(itasks.fwd[(replica, stage, warmup + k)].tid)
-        order += [
-            itasks.bwd[(replica, stage, mb)].tid for mb in range(m - warmup, m)
-        ]
+        order = one_f_one_b(itasks, replica, stage, self.num_stages)
         # Synchronous tail, per stage: sync each pack's gradients across
         # the pipelines (deepest pack first — dependency-completion
         # order), then apply the local update.

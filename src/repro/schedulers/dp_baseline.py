@@ -8,6 +8,10 @@ Each GPU's virtualizer swaps to host memory in isolation, so every
 replica re-swaps the same weights per microbatch — the paper's
 "repeated swaps" — and the aggregate traffic rides the shared host
 uplink, growing linearly with the number of GPUs.
+
+With one replica this is also the ``single`` scheme: one virtualized
+GPU, the setting of the prior work the paper builds on (vDNN,
+IBM-LMS, SwapAdvisor, Capuchin).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
-from repro.schedulers.base import BatchConfig, Scheduler
+from repro.schedulers.base import BatchConfig, Scheduler, harmony_order
 from repro.schedulers.options import HarmonyOptions
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import Decomposer, IterationTasks
@@ -90,42 +90,31 @@ class HarmonyDP(Scheduler):
                 )
 
     def _replica_order(self, itasks: IterationTasks, r: int) -> list[int]:
-        opts = self.options
-        m = self.batch.num_microbatches
-        fwd_packs = range(len(itasks.packs_fwd))
-        bwd_packs = range(len(itasks.packs_bwd))
-        order: list[int] = []
-        # Forward pass.
-        if opts.grouping:
-            for p in fwd_packs:
-                order += [itasks.fwd[(r, p, mb)].tid for mb in range(m)]
-        else:
-            for mb in range(m):
-                order += [itasks.fwd[(r, p, mb)].tid for p in fwd_packs]
-        # Backward pass (+ jit sync/update).
-        if opts.grouping:
-            for p in reversed(bwd_packs):
-                order += [itasks.bwd[(r, p, mb)].tid for mb in range(m)]
-                if opts.jit_update:
-                    order += self._sync_and_update(itasks, r, p)
-        else:
-            for mb in range(m):
-                for p in reversed(bwd_packs):
-                    order.append(itasks.bwd[(r, p, mb)].tid)
-                    if opts.jit_update and mb == m - 1:
-                        order += self._sync_and_update(itasks, r, p)
-        if not opts.jit_update:
+        cpu_optimizer = self.options.cpu_optimizer
+
+        def deferred_tail() -> list[int]:
             upd_packs = range(len(itasks.packs_upd))
-            for pu in upd_packs:
-                if pu in itasks.allreduce:
-                    order.append(itasks.allreduce[pu].tid)
-            if not opts.cpu_optimizer:
-                for pu in upd_packs:
-                    order.append(itasks.upd[(r, pu)].tid)
-            for pu in upd_packs:
-                if pu in itasks.weight_gather:
-                    order.append(itasks.weight_gather[pu].tid)
-        return order
+            order = [
+                itasks.allreduce[pu].tid for pu in upd_packs
+                if pu in itasks.allreduce
+            ]
+            if not cpu_optimizer:
+                order += [itasks.upd[(r, pu)].tid for pu in upd_packs]
+            return order + [
+                itasks.weight_gather[pu].tid for pu in upd_packs
+                if pu in itasks.weight_gather
+            ]
+
+        return harmony_order(
+            self.options,
+            self.batch.num_microbatches,
+            range(len(itasks.packs_fwd)),
+            range(len(itasks.packs_bwd)),
+            lambda p, mb: (itasks.fwd[(r, p, mb)].tid,),
+            lambda p, mb: (itasks.bwd[(r, p, mb)].tid,),
+            lambda p: self._sync_and_update(itasks, r, p),
+            deferred_tail,
+        )
 
     def _sync_and_update(self, itasks: IterationTasks, r: int, p: int) -> list[int]:
         """JIT tail of one backward pack: sync + update for every

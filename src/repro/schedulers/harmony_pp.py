@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
-from repro.schedulers.base import BatchConfig, Scheduler
+from repro.schedulers.base import BatchConfig, Scheduler, harmony_order
 from repro.schedulers.options import HarmonyOptions
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import Decomposer, IterationTasks
@@ -57,17 +57,11 @@ class HarmonyPP(Scheduler):
         pack_device = {
             p: self.gpus[p % len(self.gpus)] for p in range(num_packs)
         }
-        m = self.batch.num_microbatches
-        for p in range(num_packs):
-            device = pack_device[p]
-            for mb in range(m):
-                itasks.fwd[(0, p, mb)].place(device)
-                itasks.bwd[(0, p, mb)].place(device)
-            upd_device = (
-                self.topology.host_of(device).name if opts.cpu_optimizer else device
+        for p, device in pack_device.items():
+            self._place_stage(
+                itasks, 0, p, device,
+                self.topology.host_of(device).name if opts.cpu_optimizer else None,
             )
-            for pu in itasks.upd_packs_within(p):
-                itasks.upd[(0, pu)].place(upd_device)
         device_order = {
             dev: self._device_order(itasks, pack_device, dev)
             for dev in self.gpus[: min(len(self.gpus), num_packs)]
@@ -104,34 +98,21 @@ class HarmonyPP(Scheduler):
         pack_device: dict[int, str],
         device: str,
     ) -> list[int]:
-        opts = self.options
-        m = self.batch.num_microbatches
         my_packs = [p for p, d in pack_device.items() if d == device]
-        order: list[int] = []
-        local_updates = not opts.cpu_optimizer
-        if opts.grouping:
-            for p in my_packs:
-                order += [itasks.fwd[(0, p, mb)].tid for mb in range(m)]
-            for p in reversed(my_packs):
-                order += [itasks.bwd[(0, p, mb)].tid for mb in range(m)]
-                if opts.jit_update and local_updates:
-                    order += self._jit_updates(itasks, p)
-        else:
-            for mb in range(m):
-                order += [itasks.fwd[(0, p, mb)].tid for p in my_packs]
-            for mb in range(m):
-                for p in reversed(my_packs):
-                    order.append(itasks.bwd[(0, p, mb)].tid)
-                    if opts.jit_update and local_updates and mb == m - 1:
-                        order += self._jit_updates(itasks, p)
-        if not opts.jit_update and local_updates:
-            for p in my_packs:
-                order += [itasks.upd[(0, pu)].tid for pu in itasks.upd_packs_within(p)]
-        return order
 
-    @staticmethod
-    def _jit_updates(itasks: IterationTasks, bwd_pack: int) -> list[int]:
-        return [
-            itasks.upd[(0, pu)].tid
-            for pu in reversed(itasks.upd_packs_within(bwd_pack))
-        ]
+        def updates(p: int) -> list[int]:
+            # A CPU-offloaded optimizer runs every update on the host.
+            if self.options.cpu_optimizer:
+                return []
+            return [itasks.upd[(0, pu)].tid for pu in itasks.upd_packs_within(p)]
+
+        return harmony_order(
+            self.options,
+            self.batch.num_microbatches,
+            my_packs,
+            my_packs,
+            lambda p, mb: (itasks.fwd[(0, p, mb)].tid,),
+            lambda p, mb: (itasks.bwd[(0, p, mb)].tid,),
+            lambda p: updates(p)[::-1],
+            lambda: [tid for p in my_packs for tid in updates(p)],
+        )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
-from repro.schedulers.base import BatchConfig, Scheduler
+from repro.schedulers.base import BatchConfig, Scheduler, harmony_order
 from repro.schedulers.options import HarmonyOptions
 from repro.sim.plan import Plan
 from repro.tasks.sharded import ShardedDecomposer, ShardedIterationTasks
@@ -72,10 +72,7 @@ class HarmonyTP(Scheduler):
         )
 
     def _shard_order(self, itasks: ShardedIterationTasks, s: int) -> list[int]:
-        opts = self.options
-        m = self.batch.num_microbatches
         layers = range(len(self.model))
-        order: list[int] = []
 
         def fwd_cell(layer: int, mb: int) -> list[int]:
             cell = [itasks.fwd[(s, layer, mb)].tid]
@@ -89,24 +86,13 @@ class HarmonyTP(Scheduler):
                 cell.append(itasks.grad_coll[(layer - 1, mb)].tid)
             return cell
 
-        if opts.grouping:
-            for layer in layers:
-                for mb in range(m):
-                    order += fwd_cell(layer, mb)
-            for layer in reversed(layers):
-                for mb in range(m):
-                    order += bwd_cell(layer, mb)
-                if opts.jit_update:
-                    order.append(itasks.upd[(s, layer)].tid)
-        else:
-            for mb in range(m):
-                for layer in layers:
-                    order += fwd_cell(layer, mb)
-            for mb in range(m):
-                for layer in reversed(layers):
-                    order += bwd_cell(layer, mb)
-                    if opts.jit_update and mb == m - 1:
-                        order.append(itasks.upd[(s, layer)].tid)
-        if not opts.jit_update:
-            order += [itasks.upd[(s, layer)].tid for layer in layers]
-        return order
+        return harmony_order(
+            self.options,
+            self.batch.num_microbatches,
+            layers,
+            layers,
+            fwd_cell,
+            bwd_cell,
+            lambda layer: (itasks.upd[(s, layer)].tid,),
+            lambda: [itasks.upd[(s, layer)].tid for layer in layers],
+        )

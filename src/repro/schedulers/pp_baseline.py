@@ -2,11 +2,16 @@
 
 The baseline of the paper's Fig. 2(c): the model is split into
 compute-balanced contiguous stages, one per GPU, run under a 1F1B
-(PipeDream-style) or GPipe schedule.  Stages are compute-balanced but
-*memory*-imbalanced — the head stage must hold stashed activations for
-every in-flight microbatch while the tail holds one — so per-GPU
-virtualization swaps heavily at the head and not at all at the tail,
-creating the bottleneck stage the paper highlights.
+(PipeDream-style) or GPipe schedule.  The 1F1B stage order
+(:func:`~repro.schedulers.base.one_f_one_b`) is the one
+``pipedream-1f1b`` and ``dapple`` run; only the update tail differs,
+ascending updates here against their descending ones.
+
+Stages are compute-balanced but *memory*-imbalanced — the head stage
+must hold stashed activations for every in-flight microbatch while the
+tail holds one — so per-GPU virtualization swaps heavily at the head
+and not at all at the tail, creating the bottleneck stage the paper
+highlights.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.memory.policy import MemoryPolicy
 from repro.models.graph import ModelGraph
-from repro.schedulers.base import BatchConfig, Scheduler
+from repro.schedulers.base import BatchConfig, Scheduler, one_f_one_b
 from repro.sim.plan import Plan
 from repro.tasks.decomposer import Decomposer, IterationTasks
 from repro.tasks.packing import partition_layers_balanced
@@ -55,7 +60,6 @@ class PipelineBaseline(Scheduler):
         #: that trades pipeline compute balance for memory balance.
         self.balance = balance
         self.policy = policy if policy is not None else MemoryPolicy.baseline()
-        self.name = f"pp-baseline-{schedule}"
 
     def _stage_partition(self) -> list[tuple[int, ...]]:
         if self.balance == "compute":
@@ -91,11 +95,7 @@ class PipelineBaseline(Scheduler):
         device_order: dict[str, list[int]] = {}
         for s in range(self.num_stages):
             device = self.gpus[s]
-            for mb in range(self.batch.num_microbatches):
-                itasks.fwd[(0, s, mb)].place(device)
-                itasks.bwd[(0, s, mb)].place(device)
-            for pu in itasks.upd_packs_within(s):
-                itasks.upd[(0, pu)].place(device)
+            self._place_stage(itasks, 0, s, device)
             device_order[device] = self._stage_order(itasks, s)
         return self._finish_plan(
             itasks,
@@ -105,19 +105,15 @@ class PipelineBaseline(Scheduler):
         )
 
     def _stage_order(self, itasks: IterationTasks, stage: int) -> list[int]:
-        m = self.batch.num_microbatches
-        order: list[int] = []
         if self.schedule == "gpipe":
             # All forwards, then all backwards: every stage holds every
             # microbatch's stash at the fwd/bwd boundary.
-            order += [itasks.fwd[(0, stage, mb)].tid for mb in range(m)]
+            m = self.batch.num_microbatches
+            order = [itasks.fwd[(0, stage, mb)].tid for mb in range(m)]
             order += [itasks.bwd[(0, stage, mb)].tid for mb in range(m)]
-        else:  # 1f1b
-            warmup = min(self.num_stages - stage, m)
-            order += [itasks.fwd[(0, stage, mb)].tid for mb in range(warmup)]
-            for k in range(m - warmup):
-                order.append(itasks.bwd[(0, stage, k)].tid)
-                order.append(itasks.fwd[(0, stage, warmup + k)].tid)
-            order += [itasks.bwd[(0, stage, mb)].tid for mb in range(m - warmup, m)]
-        order += [itasks.upd[(0, pu)].tid for pu in itasks.upd_packs_within(stage)]
-        return order
+        else:
+            order = one_f_one_b(itasks, 0, stage, self.num_stages)
+        # Synchronous tail: the stage's updates in ascending layer order.
+        return order + [
+            itasks.upd[(0, pu)].tid for pu in itasks.upd_packs_within(stage)
+        ]

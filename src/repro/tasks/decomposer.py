@@ -29,7 +29,7 @@ from repro.errors import SchedulingError
 from repro.models.graph import ModelGraph
 from repro.models.phases import Phase
 from repro.tasks.graph import TaskGraph
-from repro.tasks.packing import pack_layers, validate_packs
+from repro.tasks.packing import pack_covering, pack_layers, validate_packs
 from repro.tasks.task import Task, TaskKind
 from repro.tensors.registry import TensorRegistry
 
@@ -82,21 +82,6 @@ class IterationTasks:
                     index.setdefault(task.replica, []).append(task)
             self._replica_compute = index
         return index.get(replica, [])
-
-    def fwd_task(self, replica: int, pack_index: int, microbatch: int) -> Task:
-        return self.fwd[(replica, pack_index, microbatch)]
-
-    def bwd_task(self, replica: int, pack_index: int, microbatch: int) -> Task:
-        return self.bwd[(replica, pack_index, microbatch)]
-
-    def upd_task(self, replica: int, pack_index: int) -> Task:
-        return self.upd[(replica, pack_index)]
-
-    def bwd_pack_covering(self, layer: int) -> int:
-        for p, pack in enumerate(self.packs_bwd):
-            if pack[0] <= layer <= pack[-1]:
-                return p
-        raise SchedulingError(f"no backward pack covers layer {layer}")
 
     def upd_packs_within(self, bwd_pack_index: int) -> list[int]:
         """Update-pack indices whose layers all belong to one backward
@@ -277,12 +262,6 @@ class Decomposer:
 
     # -- backward -----------------------------------------------------------
 
-    def _fwd_pack_covering(self, layer: int) -> int:
-        for p, pack in enumerate(self.packs_fwd):
-            if pack[0] <= layer <= pack[-1]:
-                return p
-        raise SchedulingError(f"no forward pack covers layer {layer}")
-
     def _emit_backward(self, itasks: IterationTasks, replica: int) -> None:
         reg = itasks.registry
         last_layer = len(self.model) - 1
@@ -310,8 +289,8 @@ class Decomposer:
                     w_tids[p] = [reg.weight(l, replica).tid for l in pack]
                     dw_tids[p] = [reg.weight_grad(l, replica).tid for l in pack]
                     covering[p] = range(
-                        self._fwd_pack_covering(first),
-                        self._fwd_pack_covering(last) + 1,
+                        pack_covering(self.packs_fwd, first),
+                        pack_covering(self.packs_fwd, last) + 1,
                     )
                     flops = sum(
                         self.model.layer(l).flops(Phase.BACKWARD, self.microbatch_size)
@@ -376,7 +355,7 @@ class Decomposer:
                 reg.weight_grad(l, r).tid for r in range(n) for l in pack
             ]
             deps = frozenset(
-                itasks.bwd[(r, itasks.bwd_pack_covering(l), last_mb)].tid
+                itasks.bwd[(r, pack_covering(self.packs_bwd, l), last_mb)].tid
                 for r in range(n)
                 for l in (pack[0], pack[-1])
             )
@@ -413,7 +392,7 @@ class Decomposer:
                     reg.weight_grad(l, replica).tid,  # reset to zero
                 ]
             deps = {
-                itasks.bwd[(replica, itasks.bwd_pack_covering(l), last_mb)].tid
+                itasks.bwd[(replica, pack_covering(self.packs_bwd, l), last_mb)].tid
                 for l in (pack[0], pack[-1])
             }
             if p in itasks.allreduce:

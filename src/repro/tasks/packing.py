@@ -43,6 +43,18 @@ def validate_packs(packs: Sequence[tuple[int, ...]], num_layers: int) -> None:
         )
 
 
+def pack_covering(packs: Sequence[tuple[int, ...]], layer: int) -> int:
+    """Index of the pack that holds ``layer``.
+
+    >>> pack_covering([(0, 1), (2, 3), (4,)], 3)
+    1
+    """
+    for p, pack in enumerate(packs):
+        if pack[0] <= layer <= pack[-1]:
+            return p
+    raise SchedulingError(f"no pack covers layer {layer}")
+
+
 def partition_layers_balanced(
     model: ModelGraph,
     num_parts: int,

@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.config import Parallelism
 from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
 from repro.tuner.profiler import ProfilePoint, profile_configuration
+from repro.tuner.search import _splits
 
 if TYPE_CHECKING:
     from repro.perf.incremental import CheckpointStore
@@ -58,15 +58,11 @@ class AnnealResult:
         return self.prefix_hits / total if total else 0.0
 
 
-def _splits_of(minibatch: int) -> list[int]:
-    return [s for s in range(1, minibatch + 1) if minibatch % s == 0]
-
-
 def anneal(
     model: ModelGraph,
     topology: Topology,
     minibatch_per_replica: int,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
     steps: int = 24,
     initial_temperature: float = 0.3,
     seed: int = 0,
@@ -94,7 +90,7 @@ def anneal(
         raise ConfigError("profile_iterations must be >= 1")
     rng = random.Random(seed)
     ckpt0 = checkpoints.counters() if checkpoints is not None else None
-    splits = _splits_of(minibatch_per_replica)
+    splits = [size for size, _ in _splits(minibatch_per_replica)]
     max_pack = len(model)
 
     def neighbours(cfg: _Config) -> list[_Config]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.config import HarmonyConfig, Parallelism
+from repro.core.config import HarmonyConfig
 from repro.core.session import HarmonySession
 from repro.errors import CapacityError
 from repro.hardware.topology import Topology
@@ -66,7 +66,7 @@ def profile_config(
     pack_size: int,
     microbatch_size: int,
     num_microbatches: int,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
     prefetch: bool = False,
     pack_size_bwd: int | None = None,
     iterations: int = 1,
@@ -90,7 +90,7 @@ def profile_configuration(
     pack_size: int,
     microbatch_size: int,
     num_microbatches: int,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
     prefetch: bool = False,
     pack_size_bwd: int | None = None,
     iterations: int = 1,

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 if TYPE_CHECKING:
     from repro.perf.incremental import CheckpointStore
 
-from repro.core.config import Parallelism
 from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
@@ -91,7 +90,7 @@ def _combo_label(combo: _Combo) -> str:
 
 def _profile_combo(
     payload: tuple[
-        ModelGraph, Topology, Parallelism | str, _Combo, int,
+        ModelGraph, Topology, str, _Combo, int,
         "str | None", "str | None",
     ],
 ) -> ProfilePoint:
@@ -128,7 +127,7 @@ class _Profiler:
         self,
         model: ModelGraph,
         topology: Topology,
-        parallelism: Parallelism | str,
+        parallelism: str,
         cache: RunCache | None = None,
         jobs: int = 1,
         supervisor: "Supervisor | None" = None,
@@ -305,7 +304,7 @@ def tune(
     model: ModelGraph,
     topology: Topology,
     minibatch_per_replica: int,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
     prefetch_options: tuple[bool, ...] = (False,),
     refine: bool = True,
     search_bwd_pack: bool = False,

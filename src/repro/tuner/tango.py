@@ -15,10 +15,10 @@ Two trade-offs the paper singles out:
 
 from __future__ import annotations
 
-from repro.core.config import Parallelism
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
 from repro.tuner.profiler import ProfilePoint, profile_configuration
+from repro.tuner.search import _splits
 from repro.util.tables import Table
 
 
@@ -27,7 +27,7 @@ def tango_surface(
     topology: Topology,
     minibatch_per_replica: int,
     pack_sizes: list[int] | None = None,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
 ) -> list[ProfilePoint]:
     """Profile every (pack size x microbatch split) cell.
 
@@ -40,10 +40,7 @@ def tango_surface(
         )
     points = []
     for pack in pack_sizes:
-        for size in range(1, minibatch_per_replica + 1):
-            if minibatch_per_replica % size:
-                continue
-            m = minibatch_per_replica // size
+        for size, m in _splits(minibatch_per_replica):
             points.append(
                 profile_configuration(
                     model, topology, pack, size, m, parallelism=parallelism
@@ -77,7 +74,7 @@ def prefetch_tradeoff(
     microbatch_size: int,
     num_microbatches: int,
     pack_size: int = 1,
-    parallelism: Parallelism | str = Parallelism.HARMONY_PP,
+    parallelism: str = "harmony-pp",
 ) -> tuple[ProfilePoint, ProfilePoint]:
     """The same configuration with and without double buffering."""
     base = profile_configuration(

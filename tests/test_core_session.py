@@ -7,11 +7,12 @@ from repro import (
     HarmonyConfig,
     HarmonyOptions,
     HarmonySession,
-    Parallelism,
     compare_runs,
 )
 from repro.errors import ConfigError
 from repro.models import zoo
+from repro.perf.fingerprint import base_fingerprint, fingerprint
+from repro.schedulers import scheme_names
 from repro.units import MB
 
 from tests.conftest import tight_server
@@ -29,16 +30,25 @@ def topo():
     return tight_server(2, capacity=550 * MB)
 
 
-class TestParallelism:
-    def test_parse_string(self):
-        assert Parallelism.parse("harmony-pp") is Parallelism.HARMONY_PP
+class TestSchemeName:
+    def test_default_is_the_named_scheme(self, model, topo):
+        # One spec, one key: the default scheme and its name are the
+        # same config, so they share run-cache and prefix-checkpoint
+        # entries.
+        default, named = HarmonyConfig(), HarmonyConfig("harmony-pp")
+        assert default == named
+        assert fingerprint(model, topo, default) == fingerprint(
+            model, topo, named
+        )
+        assert base_fingerprint(model, topo, default) == base_fingerprint(
+            model, topo, named
+        )
 
-    def test_parse_passthrough(self):
-        assert Parallelism.parse(Parallelism.SINGLE) is Parallelism.SINGLE
-
-    def test_parse_unknown(self):
-        with pytest.raises(ConfigError):
-            Parallelism.parse("tensor-parallel")
+    def test_unknown_scheme_lists_every_name(self):
+        with pytest.raises(ConfigError) as err:
+            HarmonyConfig("tensor-parallel")
+        for name in scheme_names():
+            assert name in str(err.value)
 
 
 class TestSession:
@@ -89,7 +99,7 @@ class TestSession:
 
     def test_default_config(self, model, topo):
         session = HarmonySession(model, topo)
-        assert session.config.resolved_parallelism() is Parallelism.HARMONY_PP
+        assert session.config.parallelism == "harmony-pp"
 
 
 class TestCompareRuns:

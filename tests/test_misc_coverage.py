@@ -61,14 +61,15 @@ class TestEvictionPolicies:
         )
 
     def _run(self, model, eviction):
-        from repro.schedulers.single import SingleGpuScheduler
+        from repro.schedulers import DataParallelBaseline
 
         topo = tight_server(1, 450 * MB)
         policy = MemoryPolicy(
             track_clean=True, p2p_enabled=False, eviction=eviction
         )
-        plan = SingleGpuScheduler(
-            model, topo, BatchConfig(1, 2), policy=policy
+        plan = DataParallelBaseline(
+            model, topo, BatchConfig(1, 2), num_replicas=1,
+            policy=policy,
         ).plan()
         return run_plan(topo, plan)
 

@@ -12,7 +12,7 @@ from repro.memory.policy import MemoryPolicy
 from repro.models import zoo
 from repro.schedulers.base import BatchConfig
 from repro.schedulers.harmony_pp import HarmonyPP
-from repro.schedulers.single import SingleGpuScheduler
+from repro.schedulers import DataParallelBaseline
 from repro.sim.executor import ExecOptions, Executor
 from repro.errors import SimulationError
 from repro.tensors.tensor import TensorKind
@@ -31,8 +31,9 @@ def model():
 def run(model, iterations, flush=True, scheduler=None, topo=None):
     topo = topo if topo is not None else tight_server(1, 420 * MB)
     if scheduler is None:
-        plan = SingleGpuScheduler(
-            model, topo, BatchConfig(1, 2), policy=MemoryPolicy.paper_baseline()
+        plan = DataParallelBaseline(
+            model, topo, BatchConfig(1, 2), num_replicas=1,
+            policy=MemoryPolicy.paper_baseline(),
         ).plan()
     else:
         plan = scheduler(model, topo).plan()
@@ -97,13 +98,17 @@ class TestSteadyStateEquivalence:
         roomy = tight_server(1, 4000 * MB)
         one = run(
             model, 1, flush=False,
-            scheduler=lambda m, t: SingleGpuScheduler(m, t, BatchConfig(1, 2)),
+            scheduler=lambda m, t: DataParallelBaseline(
+                m, t, BatchConfig(1, 2), num_replicas=1
+            ),
             topo=roomy,
         )
         roomy2 = tight_server(1, 4000 * MB)
         two = run(
             model, 2, flush=False,
-            scheduler=lambda m, t: SingleGpuScheduler(m, t, BatchConfig(1, 2)),
+            scheduler=lambda m, t: DataParallelBaseline(
+                m, t, BatchConfig(1, 2), num_replicas=1
+            ),
             topo=roomy2,
         )
         w_first = one.stats.volume(kind=TensorKind.WEIGHT)

@@ -354,7 +354,7 @@ def test_executor_handles_any_legal_single_gpu_order(seed):
 
     from repro.memory.policy import MemoryPolicy
     from repro.schedulers.base import BatchConfig
-    from repro.schedulers.single import SingleGpuScheduler
+    from repro.schedulers import DataParallelBaseline
     from repro.sim.executor import Executor
     from tests.conftest import tight_server
 
@@ -362,8 +362,9 @@ def test_executor_handles_any_legal_single_gpu_order(seed):
         num_layers=3, param_bytes_per_layer=100 * MB, activation_bytes=25 * MB
     )
     topo = tight_server(1, 450 * MB)
-    plan = SingleGpuScheduler(
-        model, topo, BatchConfig(1, 2), policy=MemoryPolicy.harmony()
+    plan = DataParallelBaseline(
+        model, topo, BatchConfig(1, 2), num_replicas=1,
+        policy=MemoryPolicy.harmony(),
     ).plan()
 
     # Random topological order via Kahn's algorithm with a seeded pick.

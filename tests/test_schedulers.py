@@ -12,7 +12,7 @@ from repro.schedulers import (
     HarmonyOptions,
     HarmonyPP,
     PipelineBaseline,
-    SingleGpuScheduler,
+    build_scheduler,
 )
 from repro.tasks.task import TaskKind
 from repro.units import MB
@@ -36,10 +36,14 @@ def labels(plan, device):
     return [plan.graph.task(t).label for t in plan.device_order[device]]
 
 
+def single_plan(model, topo, batch):
+    return build_scheduler("single", model, topo, batch).plan()
+
+
 class TestSingleGpu:
     def test_order_is_per_microbatch_fwd_then_bwd(self, model):
         topo = tight_server(1)
-        plan = SingleGpuScheduler(model, topo, BatchConfig(1, 2)).plan()
+        plan = single_plan(model, topo, BatchConfig(1, 2))
         seq = labels(plan, "gpu0")
         assert seq[0].startswith("fwd[p0") and "mb0" in seq[0]
         assert seq[4].startswith("bwd[p3") and "mb0" in seq[4]
@@ -48,12 +52,12 @@ class TestSingleGpu:
 
     def test_default_policy_is_baseline(self, model):
         topo = tight_server(1)
-        plan = SingleGpuScheduler(model, topo, BatchConfig(1, 1)).plan()
+        plan = single_plan(model, topo, BatchConfig(1, 1))
         assert plan.policy == MemoryPolicy.baseline()
 
     def test_all_on_one_device(self, model):
         topo = tight_server(2)
-        plan = SingleGpuScheduler(model, topo, BatchConfig(1, 1)).plan()
+        plan = single_plan(model, topo, BatchConfig(1, 1))
         assert set(plan.device_order) == {"gpu0"}
 
 

@@ -106,10 +106,12 @@ class TestHarmonyTpExecution:
         topo2 = tight_server(2, 2000 * MB)
         plan = HarmonyTP(model, topo2, BatchConfig(1, 2)).plan()
         sharded = run_plan(topo2, plan)
-        from repro.schedulers.single import SingleGpuScheduler
+        from repro.schedulers import DataParallelBaseline
 
         topo1 = tight_server(1, 2000 * MB)
-        plan1 = SingleGpuScheduler(model, topo1, BatchConfig(1, 2)).plan()
+        plan1 = DataParallelBaseline(
+            model, topo1, BatchConfig(1, 2), num_replicas=1
+        ).plan()
         single = run_plan(topo1, plan1)
         # Persistent state per GPU is halved; activation replicas are
         # small here, so the total demand must drop well below single-GPU.

@@ -10,7 +10,6 @@ from repro.models import zoo
 from repro.schedulers.base import BatchConfig
 from repro.schedulers.dp_baseline import DataParallelBaseline
 from repro.schedulers.harmony_pp import HarmonyPP
-from repro.schedulers.single import SingleGpuScheduler
 from repro.sim.executor import ExecOptions, Executor
 from repro.tensors.state import TensorState
 from repro.tensors.tensor import TensorKind
@@ -27,7 +26,9 @@ def model():
 
 
 def single_plan(model, topo, m=2, **kw):
-    return SingleGpuScheduler(model, topo, BatchConfig(1, m), **kw).plan()
+    return DataParallelBaseline(
+        model, topo, BatchConfig(1, m), num_replicas=1, **kw
+    ).plan()
 
 
 class TestBasicExecution:

@@ -10,7 +10,7 @@ from repro.memory.stats import Direction, SwapStats
 from repro.models import zoo
 from repro.models.phases import Phase
 from repro.schedulers.base import BatchConfig
-from repro.schedulers.single import SingleGpuScheduler
+from repro.schedulers import DataParallelBaseline
 from repro.sim.plan import Plan
 from repro.sim.result import DeviceReport, RunResult
 from repro.sim.trace import Trace
@@ -90,7 +90,9 @@ class TestPlanValidation:
     def plan(self):
         model = zoo.synthetic_uniform(num_layers=2, param_bytes_per_layer=10 * MB)
         topo = tight_server(1, 4000 * MB)
-        return SingleGpuScheduler(model, topo, BatchConfig(1, 1)).plan()
+        return DataParallelBaseline(
+            model, topo, BatchConfig(1, 1), num_replicas=1
+        ).plan()
 
     def test_valid_plan_passes(self, plan):
         plan.validate()
