@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.device import DeviceKind, DeviceSpec
+from repro.hardware.device import DeviceKind, DeviceSpec, gtx1080ti, host_cpu
+from repro.hardware.links import ethernet, pcie_gen3
 from repro.hardware.presets import commodity_server
+from repro.hardware.topology import Topology
 from repro.models import zoo
 from repro.schedulers.base import BatchConfig
 from repro.sim.executor import ExecOptions, Executor
-from repro.units import MB, TFLOP
+from repro.units import GB, MB, TFLOP
 
 
 def tight_gpu(name: str, capacity=420 * MB) -> DeviceSpec:
@@ -38,6 +40,24 @@ def roomy_server(num_gpus: int):
         gpu_factory=lambda n: DeviceSpec(n, DeviceKind.GPU, 4_000 * MB, 4.5 * TFLOP),
         name=f"roomy-{num_gpus}",
     )
+
+
+def tiny_host_cluster(cpu0_bytes=0.05 * GB):
+    """Two servers of two 1080Ti GPUs over Ethernet whose first host
+    has only ``cpu0_bytes`` of DRAM: write-backs outgrow it, and with
+    remote swap they spill to the neighbour's host."""
+    topo = Topology(name="tiny-host")
+    net = topo.add_switch("netswitch")
+    for s, hostmem in ((0, cpu0_bytes), (1, 512 * GB)):
+        topo.add_device(host_cpu(f"cpu{s}", memory_bytes=hostmem))
+        sw = topo.add_switch(f"s{s}switch")
+        topo.add_link(pcie_gen3(f"uplink{s}"), sw, f"cpu{s}")
+        topo.add_link(ethernet(f"net{s}"), f"cpu{s}", net)
+        for g in range(2):
+            gpu = topo.add_device(gtx1080ti(f"s{s}g{g}"))
+            topo.add_link(pcie_gen3(f"pcie-s{s}g{g}"), gpu.name, sw)
+    topo.validate()
+    return topo
 
 
 @pytest.fixture
