@@ -325,10 +325,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     model, server, batch = _build(args)
     cache = _make_cache(args)
-    # The profiler does its own cache accounting, so the supervisor
-    # runs cache-blind: a replay comes from the journal, not the cache.
-    # Without one, the tuner probes in this process (or on a plain pool
-    # of --jobs workers), handing each probe the live checkpoint store.
+    # Without a durable supervisor the tuner probes in this process (or
+    # on a plain pool of --jobs workers), handing each probe the live
+    # checkpoint store.
     sup = _make_supervisor(args) if _durable(args) else None
     checkpoints = None
     if args.profile_iterations > 1 or args.checkpoint_dir:

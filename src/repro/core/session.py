@@ -116,17 +116,11 @@ class HarmonySession:
                 checkpoints = self.checkpoints
                 checkpoint_key = None
                 if checkpoints is not None and self.config.iterations > 1:
-                    from repro.perf.fingerprint import (
-                        FingerprintError,
-                        base_fingerprint,
-                    )
+                    from repro.perf.fingerprint import base_fingerprint
 
-                    try:
-                        checkpoint_key = base_fingerprint(
-                            self.model, self.topology, self.config
-                        )
-                    except FingerprintError:
-                        checkpoint_key = None  # uncacheable spec: run cold
+                    checkpoint_key = base_fingerprint(
+                        self.model, self.topology, self.config
+                    )
                 # One guard spans construction and the run: executor
                 # init builds the fleet-sized dependency/device tables,
                 # the same allocation shape the plan phase pauses the
@@ -141,9 +135,7 @@ class HarmonySession:
                             audit=self.config.audit,
                             iterations=self.config.iterations,
                             steady_state=self.config.steady_state,
-                            checkpoints=(
-                                checkpoints if checkpoint_key is not None else None
-                            ),
+                            checkpoints=checkpoints,
                             checkpoint_key=checkpoint_key,
                         ),
                     )

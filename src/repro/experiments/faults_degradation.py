@@ -33,7 +33,7 @@ from repro.hardware import presets
 from repro.hardware.topology import Topology
 from repro.models import zoo
 from repro.models.graph import ModelGraph
-from repro.perf.fingerprint import FingerprintError, fingerprint
+from repro.perf.fingerprint import fingerprint
 from repro.schedulers.base import BatchConfig
 from repro.sim.executor import ExecOptions, Executor
 from repro.schedulers import build_scheduler
@@ -89,16 +89,6 @@ def mttf_plan(
         seed=seed,
         extra=extra,
     )
-
-
-def _cell_fingerprint(
-    model: ModelGraph, topology: Topology, config: HarmonyConfig
-) -> str:
-    """The run fingerprint a cell key starts from ("nokey" if none)."""
-    try:
-        return fingerprint(model, topology, config)
-    except FingerprintError:
-        return "nokey"
 
 
 def _run_cell(payload) -> DegradationRow:
@@ -173,7 +163,7 @@ def run(
                 # cache written when they returned FaultReports
                 # ("faults:") must not replay one into a row slot.
                 key=(
-                    f"faults-row:{_cell_fingerprint(model, topology, config)}"
+                    f"faults-row:{fingerprint(model, topology, config)}"
                     f":mttf={mttf:g}:iters={iterations}"
                     f":seed={seed}:tp={transient_probability:g}"
                 ),
@@ -320,7 +310,7 @@ def run_recovery(
         tasks.append(
             Task(
                 key=(
-                    f"recovery-row:{_cell_fingerprint(model, topology, config)}"
+                    f"recovery-row:{fingerprint(model, topology, config)}"
                     f":policy={policy_name}:iters={iterations}:seed={seed}"
                 ),
                 fn=_run_recovery_cell,

@@ -21,10 +21,7 @@ attached an audit report to).
 
 One cache instance may be shared by concurrent callers (the job
 server hands a single instance to every tenant's supervisor); the
-blob store guards its tiers and counters with a lock, and
-``get_or_run`` holds no lock around ``compute`` — two racing misses on
-the same key both compute, and the byte-identical guarantee makes the
-double store harmless (last write wins with an equal value).
+blob store guards its tiers and counters with a lock.
 
 Invalidation is by construction: the fingerprint already contains the
 scheduler version salt, so semantics changes miss instead of serving
@@ -37,7 +34,7 @@ failed (the first one warns).
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from typing import Any
 
 from repro.util.blobstore import MISS as _MISS
 from repro.util.blobstore import BlobStore
@@ -81,17 +78,3 @@ class RunCache(BlobStore):
         """Serialize and store ``payload`` in every enabled tier."""
         self._save(*self._where(key), payload)
 
-    def get_or_run(self, key: str, compute: Callable[[], Any]) -> Any:
-        """``get(key)``, falling back to ``compute()`` + ``put``.
-
-        The returned value on a miss is a cache round-trip of the
-        computed payload, so hit and miss callers observe identical
-        (deserialized) objects.  The lookup uses the :data:`MISS`
-        sentinel, so a legitimately cached falsy payload (``None``,
-        ``0``, ``[]``) is a hit, not an eternal recompute.
-        """
-        cached = self.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        self.put(key, compute())
-        return self._load(*self._where(key))

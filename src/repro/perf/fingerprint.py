@@ -16,8 +16,9 @@ they would simulate identically:
   results.
 
 Anything unhashable (a user-supplied callable smuggled into a config)
-raises :class:`FingerprintError`; callers treat such specs as
-uncacheable rather than guessing.
+raises :class:`FingerprintError`, and callers let it propagate: a
+spec with no canonical form is refused before it runs, never run
+uncached under a made-up key.
 """
 
 from __future__ import annotations

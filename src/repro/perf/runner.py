@@ -24,7 +24,7 @@ from repro.core.config import HarmonyConfig
 from repro.errors import ReproError, WorkerError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
-from repro.perf.fingerprint import FingerprintError, fingerprint
+from repro.perf.fingerprint import fingerprint
 from repro.sim.result import RunResult
 
 
@@ -38,17 +38,13 @@ class RunSpec:
     label: str = ""
 
 
-def spec_key(spec: RunSpec) -> str | None:
-    """The run-cache/journal key for ``spec``, or ``None`` when the spec
-    has no canonical content address (uncacheable)."""
-    try:
-        return "result:" + fingerprint(spec.model, spec.topology, spec.config)
-    except FingerprintError:
-        return None
-    except Exception:
-        # A malformed spec (wrong types smuggled into the dataclass) has
-        # no address either; let the worker report the real failure.
-        return None
+def spec_key(spec: RunSpec) -> str:
+    """The run-cache/journal key for ``spec``: its run fingerprint.
+
+    A spec with no canonical form raises
+    :class:`~repro.perf.fingerprint.FingerprintError` here, before any
+    attempt runs, rather than running uncached under a made-up key."""
+    return "result:" + fingerprint(spec.model, spec.topology, spec.config)
 
 
 def _execute_spec(spec: RunSpec) -> RunResult | ReproError:

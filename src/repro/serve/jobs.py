@@ -254,16 +254,6 @@ def job_total(spec: JobSpec) -> int | None:
     return None
 
 
-def supervisor_cache(spec: JobSpec, cache: "RunCache | None"):
-    """The cache the job's supervisor should consult directly.
-
-    The tuner does its own cache accounting (hit-rate on the result),
-    so its supervisor runs cache-blind — the same rule as the CLI's
-    ``repro tune --journal``.
-    """
-    return None if spec.kind == "tune" else cache
-
-
 def _run_specs(spec: JobSpec) -> list[RunSpec]:
     model = zoo.build(spec.model)
     topology = presets.gtx1080ti_server(num_gpus=spec.gpus)

@@ -62,7 +62,6 @@ from repro.serve.jobs import (
     job_total,
     parse_job,
     spec_to_json,
-    supervisor_cache,
 )
 from repro.serve.state import JobLedger, load_ledger
 from repro.serve.tenants import FairQueue, TenantPolicy, TenantTable
@@ -372,7 +371,7 @@ class JobServer:
         """Execute one job under its own supervisor (worker thread)."""
         sup = Supervisor(
             jobs=self.config.sup_jobs,
-            cache=supervisor_cache(record.spec, self.cache),
+            cache=self.cache,
             policy=RetryPolicy(
                 max_attempts=self.config.max_attempts,
                 timeout=self._effective_timeout(record.spec),

@@ -84,8 +84,10 @@ class ExecOptions:
         nor writes.
     checkpoint_key:
         The :func:`repro.perf.fingerprint.base_fingerprint` of this run
-        — the session layer computes it (and leaves it ``None`` for
-        unfingerprintable specs, which then run cold).
+        — the session layer computes it whenever it hands over a store
+        (a spec with no canonical form raises
+        :class:`~repro.perf.fingerprint.FingerprintError` there).
+        Without a key the store is ignored and the run starts cold.
     """
 
     prefetch: bool = False
@@ -290,7 +292,7 @@ class Executor:
         store = self.options.checkpoints
         store_key = self.options.checkpoint_key
         if store_key is None or n == 1:
-            store = None  # unfingerprintable, or no boundary: run cold
+            store = None  # no key, or no boundary: run cold
         snap = store.best(store_key, n - 1) if store is not None else None
         if snap is not None:
             # Resume at the donor's deepest shared boundary, with the

@@ -5,7 +5,10 @@ processes: every sweep — the CLI's ``--jobs N`` commands, the tuner's
 grid, the fault sweeps, the job server — hands it independent work
 items and gets results back in submission order.  A plain sweep runs
 on :meth:`Supervisor.plain` (one attempt, no watchdog, no journal,
-inline at one job).  With ``--journal``/``--spec-timeout`` the same
+inline at one job).  Inline execution, like the fallback on a platform
+without worker processes, is an in-process pool on the same drive
+loop, so it retries, journals and drains exactly as worker processes
+do.  With ``--journal``/``--spec-timeout`` the same
 class becomes the durable execution layer — the checkpoint/restart
 discipline the simulated cluster already practices (``repro.faults``)
 applied to the harness itself:

@@ -38,6 +38,13 @@ through pickle exactly like run-cache hits).
 Results always come back in submission order, regardless of
 completion, retry, or replay order — which is what makes ``--jobs 4``
 output byte-identical to ``--jobs 1``.
+
+There is one drive loop.  In-process execution (``inline``, or a
+platform that cannot start worker processes) is a pool too: its
+``submit`` runs the task and hands back a finished future, one task at
+a time, so retry, failure, journaling and drain are written once and
+an in-process sweep behaves like a pooled one, down to its failure
+history.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -111,8 +119,8 @@ class Supervisor:
     jobs:
         Worker processes (>= 1).  Even ``jobs=1`` runs tasks in a
         child process — crash isolation is the point — unless
-        ``inline`` is set; inline execution is also the fallback for
-        platforms without multiprocessing.
+        ``inline`` is set or the platform cannot start worker
+        processes; then the sweep runs on an in-process pool.
     cache:
         Optional :class:`~repro.perf.cache.RunCache` consulted before
         execution and updated after, for tasks with ``cacheable=True``.
@@ -134,11 +142,13 @@ class Supervisor:
         Optional callback ``(index, outcome)`` fired after each task
         *executed this process* reaches a terminal outcome.
     inline:
-        Execute tasks in this process instead of a worker pool.  No
+        Execute tasks in this process, one at a time, on the pool
+        :meth:`_new_pool` returns instead of worker processes.  No
         crash isolation and no watchdog, but no pool-spawn cost either
         — the job server's light-isolation mode and
-        :meth:`plain`'s one-job form.  Retry, backoff, quarantine,
-        journaling, and drain all still apply.
+        :meth:`plain`'s one-job form.  The drive loop is the pooled
+        one, so retry, backoff, quarantine, journaling and drain apply
+        unchanged.
     """
 
     def __init__(
@@ -195,8 +205,8 @@ class Supervisor:
     ) -> "Supervisor":
         """A sweep without ``--journal``/``--spec-timeout``: one
         attempt, no watchdog, no journal, and inline at ``jobs=1`` — a
-        plain process pool (or loop) that still returns results in
-        submission order and settles a failing task as a
+        plain process pool (in-process at one job) that still returns
+        results in submission order and settles a failing task as a
         :class:`~repro.errors.PoisonedSpecError` caused by its
         exception."""
         return cls(
@@ -259,24 +269,22 @@ class Supervisor:
     def run_specs(self, specs, return_exceptions: bool = False) -> list:
         """Simulate run specs (:class:`~repro.perf.runner.RunSpec`):
         cache-first, results in spec order, domain errors in-slot or
-        re-raised (see :meth:`run_tasks`)."""
+        re-raised (see :meth:`run_tasks`).  Every spec is keyed by its
+        fingerprint, so a spec without one raises
+        :class:`~repro.perf.fingerprint.FingerprintError` before any
+        task runs."""
         from repro.perf.runner import _execute_spec, spec_key
 
-        tasks = []
-        for i, spec in enumerate(specs):
-            key = spec_key(spec)
-            cacheable = key is not None
-            if key is None:
-                key = f"spec:{i}:{spec.label or 'unlabelled'}"
-            tasks.append(
-                Task(
-                    key=key,
-                    fn=_execute_spec,
-                    payload=spec,
-                    label=spec.label or f"spec {i}",
-                    cacheable=cacheable,
-                )
+        tasks = [
+            Task(
+                key=spec_key(spec),
+                fn=_execute_spec,
+                payload=spec,
+                label=spec.label or f"spec {i}",
+                cacheable=True,
             )
+            for i, spec in enumerate(specs)
+        ]
         return self.run_tasks(tasks, return_exceptions=return_exceptions)
 
     def run_tasks(self, tasks: list[Task], return_exceptions: bool = False) -> list:
@@ -358,17 +366,20 @@ class Supervisor:
 
     # -- the drive loop --------------------------------------------------
 
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor | None:
-        """A fresh pool, or ``None`` when this platform cannot run
-        worker processes at all (inline fallback, no watchdog)."""
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=self.mp_context
-            )
-        except (OSError, NotImplementedError, ImportError):
-            return None
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor | _InProcessPool:
+        """The pool a sweep's attempts run on: ``workers`` worker
+        processes, or an in-process pool when ``inline`` is set or this
+        platform cannot start worker processes at all."""
+        if not self.inline:
+            try:
+                return ProcessPoolExecutor(
+                    max_workers=workers, mp_context=self.mp_context
+                )
+            except (OSError, NotImplementedError, ImportError):
+                pass  # no worker processes on this platform
+        return _InProcessPool()
 
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
+    def _kill_pool(self, pool: ProcessPoolExecutor | _InProcessPool) -> None:
         """Tear a pool down even if its workers are hung: cancel what
         can be cancelled, then SIGTERM (and as a last resort SIGKILL)
         every worker process."""
@@ -401,19 +412,46 @@ class Supervisor:
         queue: deque[int] = deque(pending)
         ready_at: dict[int, float] = {}
         histories: dict[int, list[str]] = {i: [] for i in pending}
-        inflight: dict[Any, int] = {}
-        deadlines: dict[Any, float | None] = {}
-        started: dict[Any, float] = {}
+        inflight: dict[Future, int] = {}
+        deadlines: dict[Future, float | None] = {}
+        started: dict[Future, float] = {}
         watchdog = self.policy.timeout
-        pool: ProcessPoolExecutor | None = None
+        pool: ProcessPoolExecutor | _InProcessPool | None = None
         # Tasks in flight when a worker crashed: any of them may be the
         # killer, so until they settle they go first and run one at a
         # time — the next crash then has a single suspect, and an
         # innocent task loses at most one attempt to a neighbour.
         suspects: set[int] = set()
 
-        def settle(i: int, value: Any, t0: float | None) -> None:
+        def open_pool() -> None:
+            nonlocal pool, workers
+            pool = self._new_pool(workers)
+            if isinstance(pool, _InProcessPool):
+                # One task at a time, so journal records and
+                # ``on_outcome`` calls land in submission order.
+                workers = 1
+
+        def land(i: int, status: str, value: Any) -> None:
+            """A terminal outcome: fill the slot, cache a success,
+            journal it and report it."""
             task = tasks[i]
+            results[i] = value
+            if status == DONE and task.cacheable and self.cache is not None:
+                self.cache.put(task.key, value)
+            self._journal_outcome(task, status, attempts[i], value)
+            if self.on_outcome is not None:
+                self.on_outcome(i, value)
+
+        def settle(i: int, fut: Future, t0: float) -> None:
+            """Route one finished attempt.  A value is done; a returned
+            or raised domain error (a ``ReproError`` but not a
+            ``WorkerError``) is a failed result, never retried; any
+            other exception, and a returned ``WorkerError``, retry."""
+            if fut.cancelled():
+                retryable(i, "attempt cancelled", t0)
+                return
+            exc = fut.exception()
+            value = fut.result() if exc is None else exc
             if isinstance(value, WorkerError):
                 retryable(
                     i,
@@ -421,27 +459,24 @@ class Supervisor:
                     t0,
                     value,
                 )
-                return
-            results[i] = value
-            if isinstance(value, ReproError):
+            elif isinstance(value, ReproError):
                 self._counters["failures"] += 1
-                self._journal_outcome(task, FAILED, attempts[i], value)
+                land(i, FAILED, value)
+            elif exc is not None:
+                retryable(
+                    i, f"worker raised {type(exc).__name__}: {exc}", t0, exc
+                )
             else:
-                if task.cacheable and self.cache is not None:
-                    self.cache.put(task.key, value)
-                self._journal_outcome(task, DONE, attempts[i], value)
-            if self.on_outcome is not None:
-                self.on_outcome(i, value)
+                land(i, DONE, value)
 
         def retryable(
             i: int,
             reason: str,
-            t0: float | None,
+            t0: float,
             cause: BaseException | None = None,
         ) -> None:
             now = self._clock()
-            if t0 is not None:
-                self._recovery_wall += max(0.0, now - t0)
+            self._recovery_wall += max(0.0, now - t0)
             histories[i].append(f"attempt {attempts[i]}: {reason}")
             if attempts[i] >= self.policy.max_attempts:
                 task = tasks[i]
@@ -451,12 +486,9 @@ class Supervisor:
                 # The evidence: the last attempt's exception (from a
                 # pool, a WorkerError carrying the worker's traceback).
                 error.__cause__ = cause
-                results[i] = error
                 self._quarantined.append(task.display)
                 self._history[task.display] = tuple(histories[i])
-                self._journal_outcome(task, POISONED, attempts[i], error)
-                if self.on_outcome is not None:
-                    self.on_outcome(i, error)
+                land(i, POISONED, error)
             else:
                 self._counters["retries"] += 1
                 ready_at[i] = now + self.policy.backoff_delay(
@@ -471,7 +503,7 @@ class Supervisor:
             for fut in list(inflight):
                 i = inflight.pop(fut)
                 deadlines.pop(fut, None)
-                t0 = started.pop(fut, None)
+                t0 = started.pop(fut)
                 fut.cancel()
                 finished = (
                     fut.done()
@@ -479,39 +511,28 @@ class Supervisor:
                     and fut.exception() is None
                 )
                 if finished:
-                    settle(i, fut.result(), t0)
+                    settle(i, fut, t0)
                 elif i in culprit_reasons:
                     retryable(i, culprit_reasons[i], t0)
                 else:
                     # Collateral of the recycle, not this task's fault.
                     if refund_victims:
                         attempts[i] -= 1
-                    if t0 is not None:
-                        self._recovery_wall += max(0.0, self._clock() - t0)
+                    self._recovery_wall += max(0.0, self._clock() - t0)
                     ready_at[i] = 0.0
                     queue.append(i)
-            if pool is not None:
-                self._kill_pool(pool)
-                pool = None
-
-        def ensure_pool(i: int) -> None:
-            """Create the pool if needed; on platforms without worker
-            processes, put ``i`` back and fall to inline execution."""
-            nonlocal pool
-            if pool is None:
-                pool = self._new_pool(workers)
-                if pool is None:
-                    queue.appendleft(i)
-                    raise _InlineFallback()
+            self._kill_pool(pool)
+            pool = None
 
         def submit(i: int) -> None:
-            nonlocal pool
-            ensure_pool(i)
             attempts[i] += 1
             self._counters["attempts"] += 1
             task = tasks[i]
             if self._writer is not None:
                 self._writer.attempt(task.key, attempts[i])
+            # Read before ``submit``: an in-process pool runs the
+            # attempt right there, and its time counts like a worker's.
+            t0 = self._clock()
             try:
                 fut = pool.submit(task.fn, task.payload)
             except BrokenExecutor:
@@ -519,23 +540,19 @@ class Supervisor:
                 # waits).  One respawn, then let a second break raise.
                 self._counters["respawns"] += 1
                 self._kill_pool(pool)
-                pool = None
-                ensure_pool(i)
+                open_pool()
+                t0 = self._clock()
                 fut = pool.submit(task.fn, task.payload)
-            now = self._clock()
             inflight[fut] = i
-            started[fut] = now
-            deadlines[fut] = now + watchdog if watchdog else None
-
-        if self.inline:
-            self._drive_inline(tasks, queue, ready_at, attempts, histories,
-                               results, settle_retry=(settle, retryable))
-            return
+            started[fut] = t0
+            deadlines[fut] = t0 + watchdog if watchdog else None
 
         try:
             while queue or inflight:
                 if self._drain.is_set() and not inflight:
                     break  # unstarted tasks become DrainedError slots
+                if pool is None:
+                    open_pool()
                 now = self._clock()
                 suspects = {i for i in suspects if results[i] is _UNSET}
                 limit = 1 if suspects else workers
@@ -574,8 +591,9 @@ class Supervisor:
                 for fut in done:
                     if fut not in inflight:
                         continue  # consumed by an earlier recycle
-                    exc = None if fut.cancelled() else fut.exception()
-                    if isinstance(exc, BrokenExecutor):
+                    if not fut.cancelled() and isinstance(
+                        fut.exception(), BrokenExecutor
+                    ):
                         self._counters["respawns"] += 1
                         reasons = {
                             i: "worker crashed (process pool broken)"
@@ -586,28 +604,7 @@ class Supervisor:
                         break
                     i = inflight.pop(fut)
                     deadlines.pop(fut, None)
-                    t0 = started.pop(fut, None)
-                    if fut.cancelled():
-                        retryable(i, "attempt cancelled", t0)
-                    elif exc is None:
-                        settle(i, fut.result(), t0)
-                    elif isinstance(exc, ReproError):
-                        # Deterministic domain failure raised (rather
-                        # than returned) by an unhardened worker fn.
-                        results[i] = exc
-                        self._counters["failures"] += 1
-                        self._journal_outcome(
-                            tasks[i], FAILED, attempts[i], exc
-                        )
-                        if self.on_outcome is not None:
-                            self.on_outcome(i, exc)
-                    else:
-                        retryable(
-                            i,
-                            f"worker raised {type(exc).__name__}: {exc}",
-                            t0,
-                            exc,
-                        )
+                    settle(i, fut, started.pop(fut))
 
                 if watchdog and inflight:
                     now = self._clock()
@@ -630,9 +627,6 @@ class Supervisor:
                             for i in expired
                         }
                         recycle(reasons, refund_victims=True)
-        except _InlineFallback:
-            self._drive_inline(tasks, queue, ready_at, attempts, histories,
-                               results, settle_retry=(settle, retryable))
         except BaseException:
             if pool is not None:
                 self._kill_pool(pool)
@@ -642,47 +636,24 @@ class Supervisor:
             if pool is not None:
                 pool.shutdown()
 
-    def _drive_inline(
-        self, tasks, queue, ready_at, attempts, histories, results,
-        settle_retry,
-    ) -> None:
-        """Sequential execution in this process (``inline``, or the
-        fallback when worker processes are unavailable).
 
-        Retries and backoff still apply; the watchdog cannot (there is
-        no process to kill), and a crash takes the whole run with it —
-        the journal still bounds the loss to the current attempt.
-        """
-        settle, retryable = settle_retry
-        while queue:
-            if self._drain.is_set():
-                break  # unstarted tasks become DrainedError slots
-            i = queue.popleft()
-            now = self._clock()
-            not_before = ready_at.get(i, 0.0)
-            if not_before > now:
-                self._sleep(not_before - now)
-            attempts[i] += 1
-            self._counters["attempts"] += 1
-            if self._writer is not None:
-                self._writer.attempt(tasks[i].key, attempts[i])
-            t0 = self._clock()
-            try:
-                value = tasks[i].fn(tasks[i].payload)
-            except ReproError as exc:
-                results[i] = exc
-                self._counters["failures"] += 1
-                self._journal_outcome(tasks[i], FAILED, attempts[i], exc)
-                if self.on_outcome is not None:
-                    self.on_outcome(i, exc)
-            except Exception as exc:  # noqa: BLE001 — retry boundary
-                retryable(i, f"raised {type(exc).__name__}: {exc}", t0, exc)
-            else:
-                settle(i, value, t0)
+class _InProcessPool:
+    """The pool of an in-process sweep (``inline``, or a platform that
+    cannot start worker processes): ``submit`` runs the task in this
+    process and returns its finished future, which the drive loop
+    settles like a worker's.  No crash isolation, and no watchdog: a
+    running attempt cannot be reclaimed."""
 
+    def submit(self, fn: Callable[[Any], Any], payload: Any) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(payload))
+        except Exception as exc:  # noqa: BLE001 — the future carries it
+            fut.set_exception(exc)
+        return fut
 
-class _InlineFallback(Exception):
-    """Internal: signals that no worker pool can be created."""
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 @contextlib.contextmanager

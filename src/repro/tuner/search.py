@@ -33,7 +33,7 @@ from repro.errors import ConfigError
 from repro.hardware.topology import Topology
 from repro.models.graph import ModelGraph
 from repro.perf.cache import RunCache
-from repro.perf.fingerprint import FingerprintError, fingerprint
+from repro.perf.fingerprint import fingerprint
 from repro.supervisor import Supervisor, Task
 from repro.tuner.profiler import (
     ProfilePoint,
@@ -155,15 +155,12 @@ class _Profiler:
         if self.cache is None:
             return None
         pack, mb_size, m, prefetch, bwd = combo
-        try:
-            config = profile_config(
-                pack, mb_size, m, parallelism=self.parallelism,
-                prefetch=prefetch, pack_size_bwd=bwd,
-                iterations=self.iterations, steady_state=self.steady_state,
-            )
-            return "profile:" + fingerprint(self.model, self.topology, config)
-        except FingerprintError:
-            return None  # uncacheable workload; simulate every time
+        config = profile_config(
+            pack, mb_size, m, parallelism=self.parallelism,
+            prefetch=prefetch, pack_size_bwd=bwd,
+            iterations=self.iterations, steady_state=self.steady_state,
+        )
+        return "profile:" + fingerprint(self.model, self.topology, config)
 
     def one(
         self,

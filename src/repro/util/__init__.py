@@ -1,6 +1,5 @@
-"""Shared utilities: ASCII tables, timeline rendering, deterministic ids."""
+"""Shared utilities: ASCII tables, the append-only log, the blob store."""
 
 from repro.util.tables import Table
-from repro.util.ids import IdAllocator
 
-__all__ = ["Table", "IdAllocator"]
+__all__ = ["Table"]

@@ -65,6 +65,13 @@ def always_raise(payload):
     raise RuntimeError("always broken")
 
 
+def return_domain_error(payload):
+    """Deterministic domain failure returned, not raised (the way the
+    spec worker hands back an infeasible run): ``payload`` is the
+    message."""
+    return ReproError(payload)
+
+
 def domain_error_counting(payload):
     """Deterministic domain failure (a ``ReproError``), tallying each
     invocation in ``marker`` so a test can assert it was never retried.

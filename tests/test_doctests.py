@@ -5,10 +5,10 @@ import doctest
 import pytest
 
 from repro import units
-from repro.util import ids, tables
+from repro.util import tables
 
 
-@pytest.mark.parametrize("module", [units, tables, ids])
+@pytest.mark.parametrize("module", [units, tables])
 def test_module_doctests(module):
     results = doctest.testmod(module)
     assert results.failed == 0

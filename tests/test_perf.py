@@ -161,19 +161,6 @@ class TestRunCache:
             assert hit == value
         assert cache.get("result:absent", RunCache.MISS) is RunCache.MISS
 
-    def test_get_or_run_never_recomputes_a_cached_none(self):
-        cache = RunCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return None
-
-        assert cache.get_or_run("result:none", compute) is None
-        assert cache.get_or_run("result:none", compute) is None
-        assert calls == [1]
-        assert cache.counters()["stores"] == 1
-
 
 #: (store class, store entry ``i``, entry ``i`` is served) for both
 #: key layouts over the blob store.

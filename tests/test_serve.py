@@ -299,8 +299,11 @@ class TestCacheThreadSafety:
                 barrier.wait()
                 for i in range(rounds):
                     key = f"key:{i % 17}"
-                    value = cache.get_or_run(key, lambda k=key: {"k": k})
-                    assert value == {"k": key}
+                    value = cache.get(key, RunCache.MISS)
+                    if value is RunCache.MISS:
+                        cache.put(key, {"k": key})
+                    else:
+                        assert value == {"k": key}
                     cache.get(f"miss:{worker}:{i}")
                     if i % 50 == 0:
                         cache.counters()

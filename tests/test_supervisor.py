@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.errors import (
 from repro.hardware import presets
 from repro.models import zoo
 from repro.perf import RunCache, RunSpec
+from repro.perf.fingerprint import FingerprintError
 from repro.sim.trace import to_chrome_trace
 from repro.supervisor import (
     DONE,
@@ -45,6 +47,7 @@ from repro.supervisor import (
     Task,
     load_journal,
 )
+from repro.supervisor import supervisor as supervisor_mod
 from tests import chaos_helpers as ch
 
 pytestmark = pytest.mark.skipif(
@@ -236,6 +239,18 @@ class TestSupervisorBasics:
         assert outcomes[1].makespan > 0
         assert sup.report.failures == 1 and sup.report.retries == 0
 
+    def test_unfingerprintable_spec_is_refused_before_any_attempt(self):
+        # A spec with no canonical form has no key to cache or journal
+        # it under: it is an error, never an unkeyed run.
+        model, topology, _ = small_workload()
+        config = HarmonyConfig(
+            "harmony-pp", batch=BatchConfig(1, 2), cost_model=object()
+        )
+        sup = Supervisor.plain(1)
+        with pytest.raises(FingerprintError):
+            sup.run_specs([RunSpec(model, topology, config, label="opaque")])
+        assert sup.report.attempts == 0
+
     def test_first_error_raised_in_task_order_without_return_exceptions(self):
         model = zoo.synthetic_uniform(
             num_layers=2, param_bytes_per_layer=200 * 1024**3
@@ -421,6 +436,114 @@ class TestJournalReplay:
         )
         sup.run_tasks(ok_tasks(1))
         assert load_journal(journal).command == ["compare", "lenet"]
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "pool"])
+class TestInProcessMatchesPooled:
+    """In-process and pooled execution are one contract: the same tasks
+    give the same results, report counters and failure history on
+    worker processes and in this process."""
+
+    def test_every_kind_of_outcome(self, inline, tmp_path):
+        tasks = [
+            Task(key="flaky", fn=ch.fail_until,
+                 payload=(str(tmp_path / "flaky"), 1, "recovered"),
+                 label="flaky"),
+            Task(key="returned", fn=ch.return_domain_error,
+                 payload="infeasible (returned)", label="returned"),
+            Task(key="raised", fn=ch.domain_error_counting,
+                 payload=(str(tmp_path / "raised"), "infeasible (raised)"),
+                 label="raised"),
+            Task(key="poison", fn=ch.always_raise, payload=None,
+                 label="poison"),
+        ] + ok_tasks(1)
+        sup = supervisor(
+            jobs=2, inline=inline, policy=RetryPolicy(max_attempts=2, **FAST)
+        )
+        results = sup.run_tasks(tasks, return_exceptions=True)
+        broken = "worker raised RuntimeError: always broken"
+        assert [
+            (type(r).__name__, str(r)) if isinstance(r, Exception) else r
+            for r in results
+        ] == [
+            "recovered",
+            ("ReproError", "infeasible (returned)"),
+            ("ReproError", "infeasible (raised)"),
+            ("PoisonedSpecError", "spec poison quarantined after 2 "
+             f"attempt(s); last failure: attempt 2: {broken}"),
+            2,
+        ]
+        assert ch.call_count(str(tmp_path / "raised")) == 1
+        report = sup.report
+        assert (
+            report.tasks, report.executed, report.attempts, report.retries,
+            report.failures, report.respawns, report.timeouts,
+        ) == (5, 5, 7, 2, 2, 0, 0)
+        assert report.quarantined == ("poison",)
+        assert report.history == {
+            "poison": (f"attempt 1: {broken}", f"attempt 2: {broken}")
+        }
+
+    def test_cut_journal_resumes(self, inline, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        expected = supervisor(
+            jobs=2, inline=inline, journal=journal
+        ).run_tasks(ok_tasks(5))
+        # The journal of a run killed once two tasks had settled.
+        lines = journal.read_text().splitlines(keepends=True)
+        outcomes = [
+            n for n, line in enumerate(lines)
+            if json.loads(line)["type"] == "outcome"
+        ]
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[: outcomes[1] + 1]))
+        resumed = supervisor(jobs=2, inline=inline, journal=cut)
+        assert resumed.run_tasks(ok_tasks(5)) == expected == [2, 4, 6, 8, 10]
+        report = resumed.report
+        assert (report.replayed, report.executed, report.attempts) == (2, 3, 3)
+
+    def test_drain_before_the_sweep(self, inline):
+        sup = supervisor(jobs=2, inline=inline)
+        sup.request_drain()
+        results = sup.run_tasks(ok_tasks(3), return_exceptions=True)
+        assert [type(r).__name__ for r in results] == ["DrainedError"] * 3
+        report = sup.report
+        assert (report.drained, report.executed, report.attempts) == (3, 0, 0)
+
+
+class TestNoWorkerProcesses:
+    def test_sweep_runs_in_process_in_submission_order(
+        self, tmp_path, monkeypatch
+    ):
+        # A platform without process primitives (no sem_open) cannot
+        # build the pool at all: ENOSYS.
+        tried = []
+
+        def no_processes(*args, **kwargs):
+            tried.append(1)
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", no_processes)
+        assert Supervisor.plain(2).run_tasks(ok_tasks(4)) == [2, 4, 6, 8]
+        assert tried
+        # In this process: a closure no worker could unpickle runs here.
+        here = Task(key="pid", fn=lambda _: os.getpid(), payload=None)
+        assert Supervisor.plain(2).run_tasks([here]) == [os.getpid()]
+
+        journal = tmp_path / "j.jsonl"
+        landed = []
+        sup = Supervisor(
+            jobs=2, journal=journal,
+            on_outcome=lambda i, outcome: landed.append(i),
+        )
+        assert sup.run_tasks(ok_tasks(4)) == [2, 4, 6, 8]
+        assert landed == [0, 1, 2, 3]
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [(r["type"], r.get("key")) for r in records] == [
+            ("header", None)
+        ] + [
+            (kind, f"ok:{i}") for i in range(4) for kind in ("attempt", "outcome")
+        ]
 
 
 class TestReport:

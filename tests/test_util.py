@@ -1,8 +1,7 @@
-"""Utility helpers: tables and id allocation."""
+"""Utility helpers: tables."""
 
 import pytest
 
-from repro.util.ids import IdAllocator
 from repro.util.tables import Table
 
 
@@ -40,18 +39,3 @@ class TestTable:
         t.add_row(["abcdef"])
         header = t.render().splitlines()[0]
         assert len(header) == len("abcdef")
-
-
-class TestIdAllocator:
-    def test_monotonic(self):
-        ids = IdAllocator()
-        assert [ids.next() for __ in range(3)] == [0, 1, 2]
-
-    def test_label(self):
-        ids = IdAllocator("task")
-        assert ids.label(7) == "task-7"
-
-    def test_independent_allocators(self):
-        a, b = IdAllocator(), IdAllocator()
-        a.next()
-        assert b.next() == 0
