@@ -79,9 +79,6 @@ class DevicePool:
         self.used -= nbytes
         return nbytes
 
-    def holds(self, tid: int) -> bool:
-        return tid in self._reservations
-
     def resident_tensors(self) -> list[int]:
         return list(self._reservations)
 

@@ -19,6 +19,7 @@ engine decides when each operation's transfer occupies which links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -198,15 +199,29 @@ class MemoryManager:
         self.activation_resident = dict(resident)
         self.activation_peak = dict(peak)
 
-    def _track_activation(self, device: str | None, meta: TensorMeta, sign: float) -> None:
-        """Mirror one pool reserve (+1) / release (-1) into the
-        activation-class footprint counters."""
-        if device is None or meta.persistent:
-            return
-        resident = self.activation_resident[device] + sign * meta.size_bytes
-        self.activation_resident[device] = resident
-        if resident > self.activation_peak[device]:
-            self.activation_peak[device] = resident
+    # -- the reservation path ---------------------------------------------------
+
+    # Every byte that enters or leaves a GPU pool passes through these two:
+    # they alone reserve and release pool bytes, keep the activation-class
+    # counters, and sample the usage log, so the log records every
+    # reservation and its maximum is the pool's peak.
+
+    def _reserve(self, device: str, meta: TensorMeta) -> None:
+        pool = self.pools[device]
+        pool.reserve(meta.tid, meta.size_bytes)
+        if not meta.persistent:
+            resident = self.activation_resident[device] + meta.size_bytes
+            self.activation_resident[device] = resident
+            if resident > self.activation_peak[device]:
+                self.activation_peak[device] = resident
+        self.usage_log[device].append((self.clock(), pool.used))
+
+    def _release(self, device: str, meta: TensorMeta) -> None:
+        pool = self.pools[device]
+        pool.release(meta.tid)
+        if not meta.persistent:
+            self.activation_resident[device] -= meta.size_bytes
+        self.usage_log[device].append((self.clock(), pool.used))
 
     # -- residency planning ----------------------------------------------------
 
@@ -253,14 +268,14 @@ class MemoryManager:
         # including this task's own inputs — they are swapped out and
         # back in, exactly as the closed-form volume model counts.
         evict_all: list[MemOp] = []
+        freed = 0.0
         evicted_ids: set[int] = set()
         if not policy.keep_resident:
+            evict_all, freed = self._take_victims(device, math.inf)
+            evicted_ids = {op.tensor.tid for op in evict_all}
             touched_set = set(touched)
-            for rt in self._victim_order(device):
-                op = self._eviction_op(rt, device)
-                op.forced = rt.meta.tid in touched_set
-                evict_all.append(op)
-                evicted_ids.add(rt.meta.tid)
+            for op in evict_all:
+                op.forced = op.tensor.tid in touched_set
 
         waits: list[MemOp] = []
         incoming: list[MemOp] = []
@@ -334,12 +349,8 @@ class MemoryManager:
             if self.policy.keep_resident:
                 evictions = self._plan_evictions(task, device, incoming_bytes)
             else:
-                evictions = evict_all
                 inflight_waits, inflight = self._inflight_departures(device)
-                evictions = inflight_waits + evictions
-                freed = sum(
-                    op.tensor.size_bytes for op in evict_all if op.tensor
-                )
+                evictions = inflight_waits + evict_all
                 if incoming_bytes > self.pool(device).free + freed + inflight + 1e-6:
                     raise CapacityError(
                         f"task {task.label} needs {fmt_bytes(incoming_bytes)} "
@@ -405,11 +416,9 @@ class MemoryManager:
         if inflight:
             ops += waits
             freed += inflight
-        for rt in self._victim_order(device):
-            if freed >= deficit:
-                break
-            ops.append(self._eviction_op(rt, device))
-            freed += rt.meta.size_bytes
+        if freed < deficit:
+            victims, freed = self._take_victims(device, deficit, freed)
+            ops += victims
         if freed < deficit - 1e-6:
             # Last resort: unpinned tensors still arriving (a peer parked
             # a cross-device swap here) become evictable once they land.
@@ -448,6 +457,21 @@ class MemoryManager:
                 waits.append(MemOp(MemOpKind.WAIT, rt.meta))
                 total += rt.meta.size_bytes
         return waits, total
+
+    def _take_victims(
+        self, device: str, needed: float, freed: float = 0.0
+    ) -> tuple[list[MemOp], float]:
+        """The one walk over :meth:`_victim_order`: eviction ops for
+        ``device``'s victims in order, at least one, until ``freed``
+        (the bytes counted before the walk plus each victim's size)
+        covers ``needed``.  Returns the ops and the final ``freed``."""
+        ops: list[MemOp] = []
+        for rt in self._victim_order(device):
+            ops.append(self._eviction_op(rt, device))
+            freed += rt.meta.size_bytes
+            if freed >= needed:
+                break
+        return ops, freed
 
     def _victim_order(self, device: str) -> list[TensorRuntime]:
         pool = self.pool(device)
@@ -530,9 +554,15 @@ class MemoryManager:
         rt = self.runtimes.get(op.tensor.tid) or self.runtime(op.tensor.tid)
         kind = op.kind
         meta = rt.meta
+        state = rt.state
         on_device = TensorState.ON_DEVICE
+        if kind is MemOpKind.P2P and state is TensorState.ON_HOST:
+            # The source copy was evicted in the meantime; degrade to a
+            # host fetch.
+            op.kind = kind = MemOpKind.SWAP_IN
+            op.src = None
         if kind is MemOpKind.SWAP_OUT:
-            if rt.state is not on_device:
+            if state is not on_device:
                 return False
             if op.src is not None and rt.device != op.src:
                 return False  # moved elsewhere since planning; not ours to evict
@@ -540,38 +570,20 @@ class MemoryManager:
             rt.begin_swap_out(force=op.forced)
             return True
         if kind is MemOpKind.SWAP_IN:
-            if rt.state is on_device and rt.device == op.dst:
+            if state is on_device and rt.device == op.dst:
                 return False
-            dst = op.dst
-            pool = self.pools[dst]
-            pool.reserve(meta.tid, meta.size_bytes)
-            self._track_activation(dst, meta, +1.0)
-            rt.begin_swap_in(dst)
-            self.usage_log[dst].append((self.clock(), pool.used))
+            self._reserve(op.dst, meta)
+            rt.begin_swap_in(op.dst)
             return True
         if kind is MemOpKind.P2P:
-            if rt.state is on_device and rt.device == op.dst:
+            if state is on_device and rt.device == op.dst:
                 return False
-            dst = op.dst
-            pool = self.pools[dst]
-            if rt.state is TensorState.ON_HOST:
-                # The source copy was evicted in the meantime; degrade
-                # to a host fetch.
-                op.kind = MemOpKind.SWAP_IN
-                op.src = None
-                pool.reserve(meta.tid, meta.size_bytes)
-                self._track_activation(dst, meta, +1.0)
-                rt.begin_swap_in(dst)
-                self.usage_log[dst].append((self.clock(), pool.used))
-                return True
             op.src = rt.device
-            pool.reserve(meta.tid, meta.size_bytes)
-            self._track_activation(dst, meta, +1.0)
-            rt.begin_move(dst)
-            self.usage_log[dst].append((self.clock(), pool.used))
+            self._reserve(op.dst, meta)
+            rt.begin_move(op.dst)
             return True
         if kind is MemOpKind.DROP:
-            if rt.state is not on_device:
+            if state is not on_device:
                 return False
             if op.src is not None and rt.device != op.src:
                 return False
@@ -584,20 +596,13 @@ class MemoryManager:
                 return True
             device = rt.device
             rt.drop()
-            pool = self.pools[device]
-            pool.release(meta.tid)
-            self._track_activation(device, meta, -1.0)
-            self.usage_log[device].append((self.clock(), pool.used))
+            self._release(device, meta)
             self.stats.record(device, meta.kind, Direction.DROP, meta.size_bytes)
             return True
         if kind is MemOpKind.ALLOC:
-            dst = op.dst
-            pool = self.pools[dst]
-            pool.reserve(meta.tid, meta.size_bytes)
-            self._track_activation(dst, meta, +1.0)
-            rt.materialize_on_device(dst)
-            self.usage_log[dst].append((self.clock(), pool.used))
-            self._assign_home(rt, dst)
+            self._reserve(op.dst, meta)
+            rt.materialize_on_device(op.dst)
+            self._assign_home(rt, op.dst)
             return True
         raise SimulationError(f"op_begin on unexpected op {op}")
 
@@ -618,10 +623,7 @@ class MemoryManager:
                     used[old_host] = used.get(old_host, 0.0) - meta.size_bytes
                 used[host] = used.get(host, 0.0) + meta.size_bytes
             rt.host_device = host
-            pool = self.pools[src]
-            pool.release(meta.tid)
-            self._track_activation(src, meta, -1.0)
-            self.usage_log[src].append((self.clock(), pool.used))
+            self._release(src, meta)
             stats.record(src, meta.kind, Direction.SWAP_OUT, meta.size_bytes)
         elif kind is MemOpKind.SWAP_IN:
             rt.finish_swap_in()
@@ -631,10 +633,7 @@ class MemoryManager:
         elif kind is MemOpKind.P2P:
             src = op.src
             rt.finish_swap_in()
-            pool = self.pools[src]
-            pool.release(meta.tid)
-            self._track_activation(src, meta, -1.0)
-            self.usage_log[src].append((self.clock(), pool.used))
+            self._release(src, meta)
             stats.record(op.dst, meta.kind, Direction.P2P_IN, meta.size_bytes)
             stats.record(src, meta.kind, Direction.P2P_OUT, meta.size_bytes)
             self._assign_home(rt, op.dst)
@@ -662,23 +661,16 @@ class MemoryManager:
 
     def substitute_victims(self, op: MemOp) -> list[MemOp] | None:
         """A planned eviction found its victim pinned at execution time
-        (a concurrent task on another device claimed it).  Pick other
-        victims covering at least the same byte count, or ``None`` if
-        nothing is evictable right now."""
+        (a concurrent task on another device claimed it, which takes it
+        out of the victim order).  Pick other victims covering at least
+        the same byte count, and at least one even for a 0-byte victim,
+        or ``None`` if nothing is evictable right now."""
         device = op.src
         if device is None:
             return None
         needed = op.tensor.size_bytes
-        ops: list[MemOp] = []
-        freed = 0.0
-        for rt in self._victim_order(device):
-            if rt.meta.tid == op.tensor.tid:
-                continue
-            ops.append(self._eviction_op(rt, device))
-            freed += rt.meta.size_bytes
-            if freed >= needed:
-                return ops
-        return None
+        ops, freed = self._take_victims(device, needed)
+        return ops if ops and freed >= needed else None
 
     # -- waiters ------------------------------------------------------------------
 
@@ -694,9 +686,6 @@ class MemoryManager:
         if callbacks:
             for callback in callbacks:
                 callback()
-
-    def in_flight(self, tid: int) -> bool:
-        return self.runtime(tid).in_flight
 
     # -- task completion --------------------------------------------------------------
 
@@ -737,10 +726,7 @@ class MemoryManager:
         rt.free()
         self._drop_host_copy(rt)
         if device is not None:
-            pool = self.pools[device]
-            pool.release(tid)
-            self._track_activation(device, rt.meta, -1.0)
-            self.usage_log[device].append((self.clock(), pool.used))
+            self._release(device, rt.meta)
         self._unassign_home(rt)
 
     def _drop_host_copy(self, rt: TensorRuntime) -> None:
@@ -768,18 +754,6 @@ class MemoryManager:
                 else:
                     ops.append(MemOp(MemOpKind.DROP, rt.meta, device, None))
         return ops
-
-    # -- diagnostics ---------------------------------------------------------------------
-
-    def describe(self) -> str:
-        lines = [f"memory manager ({self.policy})"]
-        for name in sorted(self.pools):
-            pool = self.pools[name]
-            lines.append(
-                f"  {name}: used {fmt_bytes(pool.used)} / {fmt_bytes(pool.capacity)}, "
-                f"peak {fmt_bytes(pool.peak_used)}, demand peak {fmt_bytes(pool.peak_demand)}"
-            )
-        return "\n".join(lines)
 
 
 def _is_input(meta: TensorMeta) -> bool:

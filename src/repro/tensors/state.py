@@ -195,7 +195,3 @@ class TensorRuntime:
     @property
     def in_flight(self) -> bool:
         return self.state in (TensorState.SWAPPING_IN, TensorState.SWAPPING_OUT)
-
-    @property
-    def alive(self) -> bool:
-        return self.state not in (TensorState.FREED, TensorState.UNMATERIALIZED)

@@ -151,9 +151,7 @@ class _Profiler:
         self.hits = 0
         self.misses = 0
 
-    def _key(self, combo: _Combo) -> str | None:
-        if self.cache is None:
-            return None
+    def _key(self, combo: _Combo) -> str:
         pack, mb_size, m, prefetch, bwd = combo
         config = profile_config(
             pack, mb_size, m, parallelism=self.parallelism,
@@ -176,9 +174,13 @@ class _Profiler:
         points: list[ProfilePoint | None] = [None] * len(combos)
         pending: list[int] = []
         miss = RunCache.MISS
+        cache = self.cache
+        # Every probe is keyed by its fingerprint, cached or not: the key
+        # also names it in a supervisor's journal, so a search replays
+        # only journaled probes of its own model, topology and config.
         keys = [self._key(combo) for combo in combos]
         for i, key in enumerate(keys):
-            cached = self.cache.get(key, miss) if key is not None else miss
+            cached = cache.get(key, miss) if cache is not None else miss
             if cached is not miss:
                 self.hits += 1
                 points[i] = cached
@@ -207,7 +209,7 @@ class _Profiler:
                 # point, making an interrupted search resumable.
                 tasks = [
                     Task(
-                        key=keys[i] or f"profile:nokey:{combos[i]!r}",
+                        key=keys[i],
                         fn=_profile_combo,
                         payload=(
                             self.model, self.topology, self.parallelism,
@@ -221,8 +223,8 @@ class _Profiler:
                 computed = supervisor.run_tasks(tasks)
             for i, point in zip(pending, computed):
                 points[i] = point
-                if keys[i] is not None:
-                    self.cache.put(keys[i], point)
+                if cache is not None:
+                    cache.put(keys[i], point)
         return points  # type: ignore[return-value]
 
     def _profile_inline(self, combo: _Combo) -> ProfilePoint:

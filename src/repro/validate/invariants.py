@@ -191,8 +191,11 @@ def check_memory_profile(result: RunResult) -> list[AuditViolation]:
     The branches are mutually exclusive per device so mutation tests
     can assert one exact violation kind: an over-capacity sample
     reports ``MEMORY_OVER_CAPACITY``; a within-capacity profile whose
-    maximum disagrees with ``DeviceReport.peak_used`` reports
-    ``MEMORY_PEAK_MISMATCH``.
+    maximum disagrees with ``DeviceReport.peak_used`` either way reports
+    ``MEMORY_PEAK_MISMATCH``.  The manager samples the profile on every
+    pool reservation and release, so its maximum is the pool's peak: a
+    profile that stays below it missed a reservation (an empty profile
+    matches a peak of 0).
     """
     violations: list[AuditViolation] = []
     for device, report in sorted(result.devices.items()):
@@ -227,7 +230,7 @@ def check_memory_profile(result: RunResult) -> list[AuditViolation]:
                     actual=used,
                 )
             )
-        elif profile and not _leq(profile_max, report.peak_used, _BYTE_TOL):
+        elif not _close(profile_max, report.peak_used, _BYTE_TOL):
             violations.append(
                 AuditViolation(
                     ViolationKind.MEMORY_PEAK_MISMATCH,

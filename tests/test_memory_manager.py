@@ -1,7 +1,12 @@
 """Memory manager: residency planning, eviction, policies."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import CapacityError, SimulationError
 from repro.memory.manager import MemOp, MemOpKind, MemoryManager
 from repro.memory.policy import MemoryPolicy
@@ -139,20 +144,21 @@ class TestPrepare:
         assert manager.runtime(registry.weight(0).tid).pinned == 0
 
 
-class TestEviction:
-    def _fill_gpu0(self, manager, registry):
-        """Run fwd L0 so gpu0 holds W0 + stash + act, then return the
-        layer-1 forward whose preparation must evict."""
-        t0 = fwd_task(registry, 0, tid=0)
-        t1 = fwd_task(registry, 1, tid=1)
-        manager.materialize_initial()
-        run_ops(manager, manager.prepare(t0, "gpu0"))
-        manager.task_finished(t0)
-        return t1
+def fill_gpu0(manager, registry):
+    """Run fwd L0 so gpu0 holds W0 + stash + act, then return the
+    layer-1 forward whose preparation must evict."""
+    t0 = fwd_task(registry, 0, tid=0)
+    t1 = fwd_task(registry, 1, tid=1)
+    manager.materialize_initial()
+    run_ops(manager, manager.prepare(t0, "gpu0"))
+    manager.task_finished(t0)
+    return t1
 
+
+class TestEviction:
     def test_lru_evicts_oldest(self):
         manager, registry = make_manager(capacity=260 * MB)
-        t1 = self._fill_gpu0(manager, registry)
+        t1 = fill_gpu0(manager, registry)
         # gpu0 now holds W0 (100), stash (25), act (25); next layer needs
         # W1 (100) + stash + act: W0 is LRU-oldest unpinned.
         ops = manager.prepare(t1, "gpu0")
@@ -162,7 +168,7 @@ class TestEviction:
 
     def test_clean_weight_dropped_under_harmony(self):
         manager, registry = make_manager(capacity=260 * MB)
-        t1 = self._fill_gpu0(manager, registry)
+        t1 = fill_gpu0(manager, registry)
         ops = manager.prepare(t1, "gpu0")
         by_tid = {op.tensor.tid: op for op in ops}
         assert by_tid[registry.weight(0).tid].kind is MemOpKind.DROP
@@ -171,14 +177,14 @@ class TestEviction:
         manager, registry = make_manager(
             policy=MemoryPolicy.baseline(), capacity=260 * MB
         )
-        t1 = self._fill_gpu0(manager, registry)
+        t1 = fill_gpu0(manager, registry)
         ops = manager.prepare(t1, "gpu0")
         by_tid = {op.tensor.tid: op for op in ops}
         assert by_tid[registry.weight(0).tid].kind is MemOpKind.SWAP_OUT
 
     def test_dirty_tensor_always_written_back(self):
         manager, registry = make_manager(capacity=260 * MB)
-        t1 = self._fill_gpu0(manager, registry)
+        t1 = fill_gpu0(manager, registry)
         manager.runtime(registry.weight(0).tid).mark_written()
         ops = manager.prepare(t1, "gpu0")
         by_tid = {op.tensor.tid: op for op in ops}
@@ -188,7 +194,7 @@ class TestEviction:
         manager, registry = make_manager(
             policy=MemoryPolicy(eviction="largest_first"), capacity=260 * MB
         )
-        self._fill_gpu0(manager, registry)
+        fill_gpu0(manager, registry)
         order = manager._victim_order("gpu0")
         sizes = [rt.meta.size_bytes for rt in order]
         assert sizes == sorted(sizes, reverse=True)
@@ -258,3 +264,86 @@ class TestStatsIntegration:
         manager.materialize_initial()
         run_ops(manager, manager.prepare(task, "gpu0"))
         assert manager.pools["gpu0"].demand == 175 * MB  # 125 in + 50 alloc
+
+
+class TestSubstituteVictims:
+    @pytest.mark.parametrize(
+        "needed_mb, taken", [(0, 1), (100, 1), (110, 2), (1000, None)]
+    )
+    def test_shortest_prefix_of_the_victim_order(self, needed_mb, taken):
+        manager, registry = make_manager(capacity=260 * MB)
+        fill_gpu0(manager, registry)
+        order = [rt.meta for rt in manager._victim_order("gpu0")]
+        # The victim that turned out pinned is out of the victim order;
+        # a 0-byte one (gpt2's lm_head holds 0-byte state) still gets one.
+        victim = dataclasses.replace(registry.stash(1, 0), size_bytes=needed_mb * MB)
+        subs = manager.substitute_victims(
+            MemOp(MemOpKind.SWAP_OUT, victim, "gpu0", None)
+        )
+        if taken is None:
+            assert subs is None
+        else:
+            assert [op.tensor for op in subs] == order[:taken]
+
+
+class TestReservationPath:
+    def test_p2p_from_an_evicted_source_becomes_a_host_fetch(self):
+        manager, registry = make_manager()
+        w0 = registry.weight(0)
+        manager.materialize_initial()
+        op = MemOp(MemOpKind.P2P, w0, "gpu1", "gpu0")
+        assert manager.op_begin(op)
+        assert (op.kind, op.src) == (MemOpKind.SWAP_IN, None)
+        rt = manager.runtime(w0.tid)
+        assert (rt.state, rt.device) == (TensorState.SWAPPING_IN, "gpu0")
+        assert manager.usage_log["gpu0"] == [(0.0, w0.size_bytes)]
+        manager.op_finish(op)
+        assert manager.stats.volume("gpu0", None, Direction.SWAP_IN) == w0.size_bytes
+
+    def test_only_the_two_helpers_touch_pools_and_the_usage_log(self):
+        # Pool reserve/release calls and usage-log appends anywhere in
+        # the package, by enclosing class.function: each must sit in
+        # MemoryManager._reserve or _release, so the usage log records
+        # every reservation by construction.
+        sites = []
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root.parent).as_posix()
+            _CallSites(module, sites).visit(ast.parse(path.read_text()))
+        manager = "repro/memory/manager.py"
+        assert sorted(sites) == [
+            (manager, "MemoryManager._release", "release"),
+            (manager, "MemoryManager._release", "usage_log.append"),
+            (manager, "MemoryManager._reserve", "reserve"),
+            (manager, "MemoryManager._reserve", "usage_log.append"),
+        ]
+
+
+class _CallSites(ast.NodeVisitor):
+    """Collects ``.reserve(``/``.release(`` calls and ``usage_log``
+    appends with the class/function scope they sit in."""
+
+    def __init__(self, module, sites):
+        self.module = module
+        self.sites = sites
+        self.scope = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if func.attr in ("reserve", "release"):
+                name = func.attr
+            elif func.attr == "append" and "usage_log" in ast.unparse(func.value):
+                name = "usage_log.append"
+            else:
+                name = None
+            if name is not None:
+                self.sites.append((self.module, ".".join(self.scope), name))
+        self.generic_visit(node)

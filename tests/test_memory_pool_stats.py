@@ -44,7 +44,7 @@ class TestDevicePool:
     def test_holds_and_listing(self):
         pool = DevicePool("g", 100)
         pool.reserve(3, 10)
-        assert pool.holds(3)
+        assert pool.used == 10
         assert pool.resident_tensors() == [3]
 
     def test_demand_accounting(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.models import zoo
+from repro.supervisor import Supervisor
 from repro.tuner.profiler import profile_configuration
 from repro.tuner.search import _pack_candidates, _splits, tune
 from repro.tuner.tango import prefetch_tradeoff, tango_surface, tango_table
@@ -80,6 +81,20 @@ class TestTune:
         tiny = tight_server(2, capacity=10 * MB)
         with pytest.raises(ConfigError):
             tune(model, tiny, 1, refine=False)
+
+    def test_shared_journal_replays_only_the_same_search(self, model, topo, tmp_path):
+        # Two searches over the same grid on different models share one
+        # journal and no run cache: the second replays none of the
+        # first one's probes, so it picks what a fresh search picks.
+        journal = tmp_path / "tune.jsonl"
+        other = zoo.synthetic_uniform(
+            num_layers=4, param_bytes_per_layer=20 * MB, activation_bytes=40 * MB
+        )
+        tune(model, topo, 2, supervisor=Supervisor(journal=journal, inline=True))
+        shared = tune(
+            other, topo, 2, supervisor=Supervisor(journal=journal, inline=True)
+        )
+        assert shared.best == tune(other, topo, 2).best
 
 
 class TestTango:

@@ -115,12 +115,21 @@ class TestMutations:
         assert report.kinds() == {ViolationKind.MEMORY_OVER_CAPACITY}
         assert report.by_kind(ViolationKind.MEMORY_OVER_CAPACITY)[0].device == device
 
-    def test_peak_used_below_profile(self, run):
+    @pytest.mark.parametrize("side", ["below-profile", "above-profile"])
+    def test_peak_used_disagrees_with_profile(self, run, side):
         result, topo, plan = run
         device = sorted(result.devices)[0]
-        result.devices[device] = dataclasses.replace(
-            result.devices[device], peak_used=1.0
-        )
+        if side == "below-profile":
+            result.devices[device] = dataclasses.replace(
+                result.devices[device], peak_used=1.0
+            )
+        else:
+            # The samples at the peak go missing, as if the reservations
+            # that reached it skipped the usage log.  (This run's peak is
+            # the full capacity, so it cannot be raised instead.)
+            samples = result.memory_profile[device]
+            peak = result.devices[device].peak_used
+            samples[:] = [(t, used) for t, used in samples if used < peak]
         report = _audit(run)
         assert report.kinds() == {ViolationKind.MEMORY_PEAK_MISMATCH}
 
